@@ -19,7 +19,7 @@ from .copula import (
     fit_copula,
 )
 from .errors import WrongDomain
-from .table import Domain, JointFrequencyTable
+from .table import MAX_COUNT, Domain, JointFrequencyTable
 
 __all__ = [
     "to_boundaries",
@@ -35,16 +35,25 @@ def to_boundaries(table: JointFrequencyTable) -> JointFrequencyTable:
     """Map each segment cell (x, z) to the boundary cell (x-1, z-x)."""
     if table.domain is not Domain.SEGMENTS:
         raise WrongDomain("to_boundaries needs a segment-domain table")
-    cells = {(x - 1, z - x): n for (x, z), n in table.cells.items()}
-    return JointFrequencyTable(Domain.BOUNDARIES, cells, table.total)
+    # The shear keeps ascending (x, z) order, so the columns stay sorted.
+    xs, zs = table.xs, table.zs
+    return JointFrequencyTable(Domain.BOUNDARIES, xs - 1, zs - xs, table.ns)
+
+
+def _segment_columns(xs: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (x', z') -> (x' + 1, z' + x' + 1), refusing to wrap past int64.
+    if len(xs) and int(xs.max()) + int(zs.max()) + 1 > MAX_COUNT:
+        raise OverflowError("segment lengths exceed 2**63 - 1")
+    return xs + 1, zs + xs + 1
 
 
 def from_boundaries(table: JointFrequencyTable) -> JointFrequencyTable:
     """Exact inverse of :func:`to_boundaries`."""
     if table.domain is not Domain.BOUNDARIES:
         raise WrongDomain("from_boundaries needs a boundary-domain table")
-    cells = {(x + 1, z + x + 1): n for (x, z), n in table.cells.items()}
-    return JointFrequencyTable(Domain.SEGMENTS, cells, table.total)
+    return JointFrequencyTable(
+        Domain.SEGMENTS, *_segment_columns(table.xs, table.zs), table.ns
+    )
 
 
 def cells_from_boundaries(cells: JointProbabilityTable) -> JointProbabilityTable:
@@ -55,8 +64,9 @@ def cells_from_boundaries(cells: JointProbabilityTable) -> JointProbabilityTable
     """
     if cells.domain is not Domain.BOUNDARIES:
         raise WrongDomain("cells_from_boundaries needs boundary-domain cells")
-    mapped = {(x + 1, z + x + 1): p for (x, z), p in cells.cells.items()}
-    return JointProbabilityTable(domain=Domain.SEGMENTS, cells=mapped)
+    return JointProbabilityTable.from_columns(
+        Domain.SEGMENTS, *_segment_columns(cells.xs, cells.zs), cells.ps
+    )
 
 
 def pairs_from_boundaries(pairs: np.ndarray) -> np.ndarray:

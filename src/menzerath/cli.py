@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .boundaries import (
     boundary_copula_cells,
+    cells_from_boundaries,
     from_boundaries,
     pairs_from_boundaries,
     to_boundaries,
@@ -150,7 +151,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_table(args):
-    text = Path(args.input).read_text(encoding="utf-8")
+    # newline="" keeps a lone "\r" inside its line, as the parsers do.
+    with open(args.input, encoding="utf-8", newline="") as stream:
+        text = stream.read()
     if args.kind == "corpus":
         fmt = CorpusFormat(
             constituent_delimiter=args.constituent_delimiter,
@@ -177,8 +180,11 @@ def _estimator(args) -> Estimator:
     return Estimator(args.estimator)
 
 
-def _fit_one(name, table, curve, estimator, seed):
-    """Fit one model; returns (block, predicted_curve, cells_or_None)."""
+def _fit_one(name, table, curve, estimator, seed, copulas):
+    """Fit one model; returns (block, predicted_curve, cells_or_None).
+
+    A fitted copula model is also stored in ``copulas`` under its name.
+    """
     xs = curve.xs
     if name == "hyperbolic":
         fit = hyperbolic_from_linear(fit_linear(table, Space.RAW))
@@ -219,7 +225,7 @@ def _fit_one(name, table, curve, estimator, seed):
             block["conditional"] = "median"
         return block, predicted_mal(params, xs), None
     if name == "copula":
-        model = fit_copula(table, estimator)
+        model = copulas[name] = fit_copula(table, estimator)
         cells = cell_probabilities(model)
         block = {
             "model": name,
@@ -231,6 +237,7 @@ def _fit_one(name, table, curve, estimator, seed):
         return block, predicted_mal_from_cells(cells), cells
     if name == "copula-boundaries":
         cells, model = boundary_copula_cells(table, estimator)
+        copulas[name] = model
         block = {
             "model": name,
             "estimator": model.estimator.value,
@@ -262,9 +269,11 @@ def _cmd_fit(args) -> int:
         return 1
     estimator = _estimator(args)
     curve = empirical_mal_curve(table)
-    blocks, curves, cells = [], {}, {}
+    blocks, curves, cells, copulas = [], {}, {}, {}
     for name in names:
-        block, predicted, cell_table = _fit_one(name, table, curve, estimator, args.seed)
+        block, predicted, cell_table = _fit_one(
+            name, table, curve, estimator, args.seed, copulas
+        )
         block["rss"] = rss(curve, predicted)
         blocks.append(block)
         curves[name] = predicted
@@ -283,7 +292,7 @@ def _cmd_fit(args) -> int:
         _write(out_dir / "curves.csv", curves_csv(curve, curves))
         _write(out_dir / "cells.csv", cells_csv(table, cells))
     if "svg" in emit:
-        samples = _figure_samples(args, table, estimator)
+        samples = _figure_samples(args, table, estimator, copulas)
         panel_models = [
             PanelModel(b["model"], curves[b["model"]], b["rss"])
             for b in report.models
@@ -297,13 +306,14 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _figure_samples(args, table, estimator):
-    # Scatter overlay mirrors the sample subcommand's output.
+def _figure_samples(args, table, estimator, copulas):
+    # Scatter overlay mirrors the sample subcommand's output, drawn from
+    # the copula already fitted for the report when there is one.
     try:
         if args.boundaries:
-            model = fit_copula(to_boundaries(table), estimator)
+            model = copulas["copula-boundaries"]
             return pairs_from_boundaries(sample_copula(model, args.n, args.seed))
-        model = fit_copula(table, estimator)
+        model = copulas.get("copula") or fit_copula(table, estimator)
         return sample_copula(model, args.n, args.seed)
     except _FIT_ERRORS:
         return None
@@ -340,7 +350,7 @@ def _cmd_sample(args) -> int:
     if "svg" in emit:
         curve = empirical_mal_curve(table)
         if cells is None:
-            cells, _ = boundary_copula_cells(table, estimator)
+            cells = cells_from_boundaries(cell_probabilities(model))
         predicted = predicted_mal_from_cells(cells)
         pm = PanelModel(model_name, predicted, rss(curve, predicted))
         _write(

@@ -14,6 +14,7 @@ path for scatter overlays.
 import enum
 import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,12 +24,15 @@ from ._normals import correlate_pairs, standard_normal_pairs
 from .errors import RhoOutOfRange, WrongDomain
 from .table import (
     Axis,
+    CellView,
     Domain,
     JointFrequencyTable,
     MalCurve,
     MarginalDistribution,
     Space,
+    _check_ascending,
     _pearson,
+    _run_sums,
     marginal,
     weighted_correlation,
 )
@@ -149,38 +153,83 @@ class GaussianCopulaModel:
             raise RhoOutOfRange(f"copula needs |rho| < 1, got {self.rho}")
 
 
-@dataclass(frozen=True)
 class JointProbabilityTable:
-    """Model-side joint distribution: probability per (x, z) cell."""
+    """Model-side joint distribution: probability per (x, z) cell.
 
-    domain: Domain
-    cells: dict[tuple[int, int], float]
+    Held as read-only columns ``xs``, ``zs`` (int64) and ``ps`` (float)
+    in strictly ascending (x, z) order; ``cells`` is a read-only mapping
+    view of them.  ``JointProbabilityTable(domain, cells)`` builds one
+    from an ``(x, z) -> probability`` mapping, :meth:`from_columns`
+    wraps sorted columns.
+    """
 
-    def __post_init__(self):
-        total = 0.0
-        for key, p in self.cells.items():
-            if p < 0.0:
-                raise ValueError(f"negative probability {p} at {key}")
-            total += p
+    __slots__ = ("domain", "xs", "zs", "ps")
+
+    def __init__(self, domain: Domain, cells: Mapping):
+        keys = sorted(cells)
+        self._set(
+            domain,
+            np.array([k[0] for k in keys], dtype=np.int64),
+            np.array([k[1] for k in keys], dtype=np.int64),
+            np.array([cells[k] for k in keys], dtype=float),
+        )
+
+    @classmethod
+    def from_columns(cls, domain: Domain, xs, zs, ps) -> "JointProbabilityTable":
+        """Table over cell columns already in strictly ascending (x, z) order."""
+        table = cls.__new__(cls)
+        table._set(domain, xs, zs, ps)
+        return table
+
+    def _set(self, domain: Domain, xs, zs, ps) -> None:
+        xs, zs = np.array(xs, dtype=np.int64), np.array(zs, dtype=np.int64)
+        ps = np.array(ps, dtype=float)
+        _check_ascending(xs, zs)
+        if domain is Domain.SEGMENTS and len(xs) and xs[0] < 1:
+            raise ValueError(f"segment-domain cells need x >= 1, got x = {xs[0]}")
+        negative = np.flatnonzero(ps < 0.0)
+        if len(negative):
+            i = negative[0]
+            key = (int(xs[i]), int(zs[i]))
+            raise ValueError(f"negative probability {ps[i]} at {key}")
+        total = float(ps.sum())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"cell probabilities sum to {total}, not 1")
+        for arr in (xs, zs, ps):
+            arr.setflags(write=False)
+        for name, value in (("domain", domain), ("xs", xs), ("zs", zs), ("ps", ps)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self).from_columns, (self.domain, self.xs, self.zs, self.ps)
+
+    def __repr__(self) -> str:
+        return f"JointProbabilityTable(domain={self.domain}, cells={len(self.xs)})"
+
+    @property
+    def cells(self) -> CellView:
+        """Read-only ``(x, z) -> probability`` view of the columns."""
+        return CellView(self.xs, self.zs, self.ps)
 
     def axis_sums(self, axis: Axis) -> dict[int, float]:
-        pick = 0 if axis is Axis.X else 1
-        sums: dict[int, float] = {}
-        for key, p in self.cells.items():
-            v = key[pick]
-            sums[v] = sums.get(v, 0.0) + p
-        return sums
+        """Probability per value of one axis, summed in ascending cell order."""
+        if axis is Axis.X:
+            keys, sums = _run_sums(self.xs, self.ps)
+        else:
+            order = np.argsort(self.zs, kind="stable")
+            keys, sums = _run_sums(self.zs[order], self.ps[order])
+        return dict(zip(keys.tolist(), sums.tolist()))
 
 
-def _normal_scores(m: MarginalDistribution) -> dict[int, float]:
+def _normal_scores(m: MarginalDistribution, values: np.ndarray) -> np.ndarray:
     # Mid-probability score of each support value: the normal quantile
     # of (F(v-) + F(v)) / 2, always strictly inside (0, 1).
     edges = m.cdf_edges()
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    scores = ndtri(mid)
-    return {int(v): float(s) for v, s in zip(m.support, scores)}
+    scores = ndtri((edges[:-1] + edges[1:]) / 2.0)
+    return scores[np.searchsorted(m.support, values)]
 
 
 def estimate_rho(table: JointFrequencyTable, estimator: Estimator) -> float:
@@ -189,12 +238,9 @@ def estimate_rho(table: JointFrequencyTable, estimator: Estimator) -> float:
         return weighted_correlation(table, Space.RAW)
     if estimator is Estimator.PEARSON_LOG:
         return weighted_correlation(table, Space.LOG)
-    score_x = _normal_scores(marginal(table, Axis.X))
-    score_z = _normal_scores(marginal(table, Axis.Z))
-    xs, zs, ns = table.arrays()
-    a = np.array([score_x[int(x)] for x in xs])
-    b = np.array([score_z[int(z)] for z in zs])
-    return _pearson(a, b, ns.astype(float))
+    a = _normal_scores(marginal(table, Axis.X), table.xs)
+    b = _normal_scores(marginal(table, Axis.Z), table.zs)
+    return _pearson(a, b, table.ns.astype(float))
 
 
 def fit_copula(
@@ -239,12 +285,10 @@ def cell_probabilities(model: GaussianCopulaModel) -> JointProbabilityTable:
     grid = phi2(hx[:, None], kz[None, :], model.rho)
     probs = np.diff(np.diff(grid, axis=0), axis=1)
     probs = np.maximum(probs, 0.0)
-    cells = {
-        (int(x), int(z)): float(probs[i, j])
-        for i, x in enumerate(model.marginal_x.support)
-        for j, z in enumerate(model.marginal_z.support)
-    }
-    return JointProbabilityTable(domain=model.domain, cells=cells)
+    sx, sz = model.marginal_x.support, model.marginal_z.support
+    return JointProbabilityTable.from_columns(
+        model.domain, np.repeat(sx, len(sz)), np.tile(sz, len(sx)), probs.ravel()
+    )
 
 
 def sample_copula(model: GaussianCopulaModel, n: int, seed: int) -> np.ndarray:
@@ -270,22 +314,17 @@ def predicted_mal_from_cells(cells: JointProbabilityTable) -> MalCurve:
     """
     if cells.domain is not Domain.SEGMENTS:
         raise WrongDomain("curve needs segment-domain cells; map boundaries back first")
-    z_sum: dict[int, float] = {}
-    p_sum: dict[int, float] = {}
-    for (x, z), p in cells.cells.items():
-        z_sum[x] = z_sum.get(x, 0.0) + z * p
-        p_sum[x] = p_sum.get(x, 0.0) + p
-    xs = sorted(x for x in p_sum if p_sum[x] > 0.0)
-    ys = [z_sum[x] / (x * p_sum[x]) for x in xs]
-    return MalCurve(
-        xs=np.array(xs, dtype=np.int64),
-        ys=np.array(ys, dtype=float),
-        ns=np.array([p_sum[x] for x in xs], dtype=float),
-    )
+    xs, p_sum = _run_sums(cells.xs, cells.ps)
+    _, z_sum = _run_sums(cells.xs, cells.zs * cells.ps)
+    keep = p_sum > 0.0
+    xs, p_sum = xs[keep], p_sum[keep]
+    return MalCurve(xs=xs, ys=z_sum[keep] / (xs * p_sum), ns=p_sum)
 
 
 def infeasible_mass(cells: JointProbabilityTable) -> float:
     """Model mass on definitionally impossible segment cells (z < x)."""
     if cells.domain is not Domain.SEGMENTS:
         raise WrongDomain("infeasible mass is a segment-domain diagnostic")
-    return float(sum(p for (x, z), p in cells.cells.items() if z < x))
+    infeasible = cells.ps[cells.zs < cells.xs]
+    # Summed left to right from 0.0, as the builtin sum does.
+    return float(np.cumsum(infeasible)[-1] + 0.0) if len(infeasible) else 0.0

@@ -6,12 +6,13 @@ constituents split by a delimiter).  Segmentation itself is the user's
 input; no syllabification or morphological analysis happens here.
 """
 
+import io
 from dataclasses import dataclass
 
 import regex
 
-from .errors import EmptyConstituent, EmptyInput, InvalidPair, ParseError
-from .table import Domain, JointFrequencyTable
+from .errors import EmptyConstituent, EmptyInput, ParseError
+from .table import Domain, JointFrequencyTable, _aggregate, _checked_rows
 
 __all__ = [
     "CorpusFormat",
@@ -55,28 +56,50 @@ class CorpusFormat:
 
 
 def _iter_lines(stream):
+    """``(number, line)`` pairs; lines end at ``\n`` only, less one ``\r``.
+
+    A string and a text stream split the same way (``str.splitlines``
+    and a universal-newlines stream would also split at ``\r``,
+    U+2028 and other separators).  Any other iterable yields its
+    items as lines.
+    """
     if isinstance(stream, str):
-        lines = stream.splitlines()
+        lines = stream.split("\n")
+    elif isinstance(stream, io.TextIOBase):
+        lines = _newline_split(stream)
     else:
-        lines = (line.rstrip("\r\n") for line in stream)
+        lines = (line[:-1] if line.endswith("\n") else line for line in stream)
     for number, line in enumerate(lines, start=1):
-        yield number, line.rstrip("\r")
+        yield number, line[:-1] if line.endswith("\r") else line
+
+
+def _newline_split(stream):
+    # Rejoin the pieces a universal-newlines stream cuts at a lone "\r".
+    pending = ""
+    for piece in stream:
+        if piece.endswith("\n"):
+            yield pending + piece[:-1]
+            pending = ""
+        else:
+            pending += piece
+    if pending:
+        yield pending
 
 
 def parse_frequency_table(stream) -> JointFrequencyTable:
     """Parse ``x, z, count`` rows (comma or tab separated) into a table.
 
-    Accepts a string or an iterable of lines.  An optional header row
-    ``x,z,count`` is skipped, ``#`` lines are comments, and a
-    ``#domain=boundaries`` directive before the data switches the
-    domain (segments is the default).  Rows with equal (x, z) are
-    aggregated.  Raises :class:`ParseError` with the 1-based line
-    number on malformed rows, :class:`InvalidPair` on domain
+    Accepts a string, a text stream or an iterable of lines.  An
+    optional header row ``x,z,count`` is skipped, ``#`` lines are
+    comments, and a ``#domain=boundaries`` directive before the data
+    switches the domain (segments is the default).  Rows with equal
+    (x, z) are aggregated.  Raises :class:`ParseError` with the 1-based
+    line number on malformed rows, :class:`InvalidPair` on domain
     violations, and :class:`EmptyInput` when no data rows are present.
     """
     domain = Domain.SEGMENTS
-    rows: list[tuple[int, int, int]] = []
-    saw_data = False
+    xs, zs, ns, numbers = [], [], [], []
+    failure = None
     for number, line in _iter_lines(stream):
         stripped = line.strip()
         if not stripped:
@@ -84,29 +107,36 @@ def parse_frequency_table(stream) -> JointFrequencyTable:
         if stripped.startswith(COMMENT_PREFIX):
             directive = stripped.replace(" ", "").lower()
             if directive in _DOMAIN_DIRECTIVES:
-                if saw_data:
-                    raise ParseError(number, line, "domain directive must precede data")
+                if numbers:
+                    failure = ParseError(
+                        number, line, "domain directive must precede data"
+                    )
+                    break
                 domain = _DOMAIN_DIRECTIVES[directive]
             continue
-        fields = stripped.split("\t" if "\t" in stripped else ",")
-        fields = [f.strip() for f in fields]
-        if not saw_data and [f.lower() for f in fields] == ["x", "z", "count"]:
+        fields = [f.strip() for f in stripped.split("\t" if "\t" in stripped else ",")]
+        if not numbers and [f.lower() for f in fields] == ["x", "z", "count"]:
             continue
         if len(fields) != 3:
-            raise ParseError(number, line, f"expected 3 fields, got {len(fields)}")
+            failure = ParseError(number, line, f"expected 3 fields, got {len(fields)}")
+            break
         try:
-            x, z, count = (int(f) for f in fields)
+            x, z, n = map(int, fields)
         except ValueError:
-            raise ParseError(number, line, "fields must be integers") from None
-        try:
-            JointFrequencyTable.from_pairs([(x, z, count)], domain)
-        except InvalidPair as exc:
-            raise InvalidPair(f"line {number}: {exc}") from None
-        rows.append((x, z, count))
-        saw_data = True
-    if not rows:
+            failure = ParseError(number, line, "fields must be integers")
+            break
+        xs.append(x)
+        zs.append(z)
+        ns.append(n)
+        numbers.append(number)
+    # The rows before a malformed line are checked first, so the error
+    # reported is always the one on the earliest bad line.
+    rows = _checked_rows(xs, zs, ns, domain, lines=numbers)
+    if failure is not None:
+        raise failure
+    if not numbers:
         raise EmptyInput("no data rows in input")
-    return JointFrequencyTable.from_pairs(rows, domain)
+    return _aggregate(*rows, domain)
 
 
 def write_frequency_table(table: JointFrequencyTable) -> str:
@@ -119,8 +149,10 @@ def write_frequency_table(table: JointFrequencyTable) -> str:
     if table.domain is Domain.BOUNDARIES:
         lines.append("#domain=boundaries")
     lines.append("x,z,count")
-    for x, z, n in table.sorted_cells():
-        lines.append(f"{x},{z},{n}")
+    lines.extend(
+        f"{x},{z},{n}"
+        for x, z, n in zip(table.xs.tolist(), table.zs.tolist(), table.ns.tolist())
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -161,6 +193,6 @@ def parse_segmented_corpus(
         counts[(x, z)] = counts.get((x, z), 0) + 1
     if not counts:
         raise EmptyInput("no construct lines in input")
-    return JointFrequencyTable(
-        Domain.SEGMENTS, counts, total=sum(counts.values())
+    return JointFrequencyTable.from_pairs(
+        ((x, z, n) for (x, z), n in counts.items()), Domain.SEGMENTS
     )

@@ -13,14 +13,13 @@ import numpy as np
 
 from .errors import DegenerateVariance, LogOfNonpositive, MenzerathError
 from .table import (
-    Axis,
     Domain,
     JointFrequencyTable,
     MalCurve,
     Space,
     Variable,
+    _run_starts,
     empirical_mal_curve,
-    marginal,
     weighted_correlation,
     weighted_moments,
 )
@@ -100,16 +99,13 @@ def dataset_summary(table: JointFrequencyTable) -> dict:
     curve, so reported RSS values can be re-derived from the report
     plus the dataset alone.
     """
-    mx = marginal(table, Axis.X)
-    mz = marginal(table, Axis.Z)
+    sx, sz = table.support_x, table.support_z
     summary = {
         "domain": table.domain.value,
         "total": table.total,
-        "distinct_cells": len(table.cells),
-        "support_x": {"min": int(mx.support[0]), "max": int(mx.support[-1]),
-                      "size": len(mx.support)},
-        "support_z": {"min": int(mz.support[0]), "max": int(mz.support[-1]),
-                      "size": len(mz.support)},
+        "distinct_cells": len(table.xs),
+        "support_x": {"min": int(sx[0]), "max": int(sx[-1]), "size": len(sx)},
+        "support_z": {"min": int(sz[0]), "max": int(sz[-1]), "size": len(sz)},
         "moments": {
             "x": _moments_or_none(table, Variable.X),
             "z": _moments_or_none(table, Variable.Z),
@@ -159,16 +155,31 @@ def curves_csv(empirical: MalCurve, model_curves: dict[str, MalCurve]) -> str:
 
 
 def cells_csv(table: JointFrequencyTable, model_cells: dict) -> str:
-    """Empirical counts and model probabilities per (x, z) cell."""
+    """Empirical counts and model probabilities per (x, z) cell.
+
+    One row per cell of the sorted union of the table's and the
+    models' cells; a cell missing from a source reads 0 there.
+    """
     names = [n for n in MODEL_ORDER if n in model_cells]
-    keys = set(table.cells)
-    for n in names:
-        keys.update(model_cells[n].cells)
+    sources = [table] + [model_cells[n] for n in names]
+    values = [table.ns] + [model_cells[n].ps for n in names]
+    xs = np.concatenate([s.xs for s in sources])
+    zs = np.concatenate([s.zs for s in sources])
+    order = np.lexsort((zs, xs))
+    starts = _run_starts(xs[order], zs[order])
+    # Union row of every concatenated cell.
+    first = np.zeros(len(xs), dtype=np.intp)
+    first[starts] = 1
+    row = np.empty_like(first)
+    row[order] = np.cumsum(first) - 1
+    keys = order[starts]
+    columns = [xs[keys], zs[keys]]
+    end = 0
+    for v in values:
+        column = np.zeros(len(keys), dtype=v.dtype)
+        column[row[end:end + len(v)]] = v
+        columns.append(column)
+        end += len(v)
     header = ["x", "z", "count"] + [f"p_{n}" for n in names]
-    lines = [",".join(header)]
-    for key in sorted(keys):
-        row = [str(key[0]), str(key[1]), str(table.cells.get(key, 0))]
-        for n in names:
-            row.append(repr(float(model_cells[n].cells.get(key, 0.0))))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    rows = zip(*(map(repr, c.tolist()) for c in columns))
+    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"

@@ -100,9 +100,9 @@ def _joint_panel(table, samples, ox, oy, width, height):
     out = [f'<g id="joint" transform="translate({_f(ox)} {_f(oy)})">']
     x0, y0 = _MARGIN + 8, 18
     w, h = width - x0 - 16, height - y0 - 46
-    xs, zs, ns = table.arrays()
-    lo_x, hi_x = int(xs.min()), int(xs.max())
-    lo_z, hi_z = int(zs.min()), int(zs.max())
+    xs, zs, ns = table.xs, table.zs, table.ns
+    lo_x, hi_x = int(table.support_x[0]), int(table.support_x[-1])
+    lo_z, hi_z = int(table.support_z[0]), int(table.support_z[-1])
     if samples is not None and len(samples):
         samples = np.asarray(samples)
         lo_x = min(lo_x, int(samples[:, 0].min()))
@@ -127,7 +127,7 @@ def _joint_panel(table, samples, ox, oy, width, height):
                 'fill="#dddddd"/>'
             )
     n_max = int(ns.max())
-    for x, z, n in table.sorted_cells():
+    for x, z, n in zip(xs.tolist(), zs.tolist(), ns.tolist()):
         r = side * 0.92 * (n / n_max) ** 0.5 / 2
         out.append(
             f'<rect x="{_f(sx(x) - r)}" y="{_f(sz(z) - r)}" '

@@ -19,6 +19,7 @@ pure functions, so concurrent reads are safe.
 
 import enum
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,10 +49,12 @@ __all__ = [
     "weighted_correlation",
 ]
 
-# Counts are plain Python integers, but silent wraparound elsewhere
-# (serialization, numpy views) is forbidden, so ingestion rejects totals
-# beyond signed 64-bit range.
+# Counts live in int64 columns and silent wraparound is forbidden, so
+# construction rejects totals beyond signed 64-bit range.
 MAX_COUNT = 2**63 - 1
+# Integers below this convert to float exactly, so dividing them as
+# floats rounds as Python's exact int division does.
+_EXACT_INT_FLOAT = 2**53
 
 
 class Domain(enum.Enum):
@@ -113,61 +116,220 @@ def _as_count(value) -> int:
     return n
 
 
-@dataclass(frozen=True)
+def _int_column(values) -> np.ndarray:
+    """int64 column, or Python ints when a value does not fit in 64 bits."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _checked_rows(xs, zs, ns, domain: Domain, lines=None):
+    """Validated int64 copies of ``(x, z, count)`` integer row columns.
+
+    All rows are checked at once.  The first bad row raises the error a
+    row-by-row scan would, its :class:`InvalidPair` message prefixed
+    with ``line {lines[i]}:`` when ``lines`` is given.
+    """
+    cols = [_int_column(v) for v in (xs, zs, ns)]
+    x, z, n = cols
+    if domain is Domain.SEGMENTS:
+        bad = (x < 1) | (z < x)
+    else:
+        bad = (x < 0) | (z < 0)
+    bad |= n < 1
+    for col in cols:
+        if col.dtype == object:
+            bad |= (col < -MAX_COUNT - 1) | (col > MAX_COUNT)
+    if bad.any():
+        i = int(np.argmax(bad))
+        x, z = int(xs[i]), int(zs[i])
+        try:
+            _check_pair(x, z, domain)
+            _as_count(int(ns[i]))
+        except InvalidPair as exc:
+            if lines is None:
+                raise
+            raise InvalidPair(f"line {lines[i]}: {exc}") from None
+        raise OverflowError(f"lengths must fit in 64 bits, got ({x}, {z})")
+    return tuple(col.astype(np.int64, copy=False) for col in cols)
+
+
+def _check_ascending(xs: np.ndarray, zs: np.ndarray) -> None:
+    dx = np.diff(xs)
+    if np.any((dx < 0) | ((dx == 0) & (np.diff(zs) <= 0))):
+        raise ValueError("cells must be strictly ascending in (x, z)")
+
+
+def _exact_total(ns: np.ndarray) -> int:
+    """Exact sum of positive int64 counts; OverflowError past MAX_COUNT."""
+    # The float sum is far closer than a factor of two to the true sum,
+    # so below 2**62 the int64 sum cannot wrap; above it Python ints
+    # add exactly.
+    if float(ns.sum(dtype=float)) < 2.0**62:
+        total = int(ns.sum())
+    else:
+        total = sum(ns.tolist())
+    if total > MAX_COUNT:
+        raise OverflowError("total count exceeds 2**63 - 1")
+    return total
+
+
+def _run_starts(*keys: np.ndarray) -> np.ndarray:
+    """Start index of every run of equal rows in grouped key columns."""
+    change = np.zeros(len(keys[0]), dtype=bool)
+    change[:1] = True
+    for k in keys:
+        change[1:] |= k[1:] != k[:-1]
+    return np.flatnonzero(change)
+
+
+def _run_sums(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of grouped ``keys`` and the float sum of each run.
+
+    Each run is summed left to right from 0.0, as a Python loop does, so
+    the sums match such a loop bit for bit (numpy's reductions sum
+    pairwise).  Runs of one length are summed together as matrix rows.
+    """
+    starts = _run_starts(keys)
+    lengths = np.diff(np.append(starts, len(keys)))
+    sums = np.empty(len(starts))
+    for length in np.unique(lengths).tolist():
+        pick = np.flatnonzero(lengths == length)
+        block = values[starts[pick, None] + np.arange(length)]
+        # Adding 0.0 last equals starting from 0.0: either way only an
+        # all -0.0 run changes, to 0.0.
+        sums[pick] = np.cumsum(block, axis=1)[:, -1] + 0.0
+    return keys[starts], sums
+
+
+class CellView(Mapping):
+    """Read-only ``(x, z) -> value`` mapping over sorted cell columns.
+
+    ``len`` is O(1), a lookup is a binary search, and iteration walks
+    the cells in ascending (x, z) order.  It serves tests and small
+    callers; the statistics read the columns.
+    """
+
+    __slots__ = ("_xs", "_zs", "_values")
+
+    def __init__(self, xs: np.ndarray, zs: np.ndarray, values: np.ndarray):
+        self._xs, self._zs, self._values = xs, zs, values
+
+    def __len__(self) -> int:
+        return len(self._xs)
+
+    def __iter__(self):
+        return zip(self._xs.tolist(), self._zs.tolist())
+
+    def __getitem__(self, key):
+        try:
+            x, z = key
+            lo = int(np.searchsorted(self._xs, x, side="left"))
+            hi = int(np.searchsorted(self._xs, x, side="right"))
+            i = lo + int(np.searchsorted(self._zs[lo:hi], z))
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        if i < hi and self._zs[i] == z:
+            return self._values[i].item()
+        raise KeyError(key)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)!r})"
+
+
 class JointFrequencyTable:
     """Counts over (x, z) pairs: the empirical joint length distribution.
 
-    ``cells`` maps ``(x, z)`` to a count >= 1 and must not be mutated
-    after construction.  ``total`` is the sum of all counts.
+    The table is three read-only int64 columns ``xs``, ``zs`` and
+    ``ns``, one entry per distinct cell in strictly ascending (x, z)
+    order with every count >= 1, their exact ``total``, and the
+    ascending distinct values of each axis, ``support_x`` and
+    ``support_z``.  All are computed and checked once, at construction.
+    ``cells`` is a read-only mapping view of the columns.
+
+    Build one from unordered ``(x, z, count)`` rows with
+    :func:`build_table`; the constructor takes integer columns that are
+    already in strictly ascending (x, z) order.
     """
 
-    domain: Domain
-    cells: dict[tuple[int, int], int]
-    total: int
+    __slots__ = ("domain", "xs", "zs", "ns", "total", "support_x", "support_z")
 
-    def __post_init__(self):
-        if not self.cells:
+    def __init__(self, domain: Domain, xs, zs, ns):
+        if len(xs) == 0:
             raise EmptyInput("table has no cells")
-        running = 0
-        for (x, z), n in self.cells.items():
-            _check_pair(x, z, self.domain)
-            if n < 1:
-                raise InvalidPair(f"count must be >= 1, got {n} at ({x}, {z})")
-            running += n
-        if running > MAX_COUNT:
-            raise OverflowError("total count exceeds 2**63 - 1")
-        if running != self.total:
-            raise InvalidPair(f"total {self.total} != sum of counts {running}")
+        xs, zs, ns = _checked_rows(xs, zs, ns, domain)
+        _check_ascending(xs, zs)
+        support_x = xs[_run_starts(xs)]
+        support_z = np.unique(zs)
+        for arr in (xs, zs, ns, support_x, support_z):
+            arr.setflags(write=False)
+        for name, value in (
+            ("domain", domain), ("xs", xs), ("zs", zs), ("ns", ns),
+            ("total", _exact_total(ns)), ("support_x", support_x),
+            ("support_z", support_z),
+        ):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.domain, self.xs, self.zs, self.ns)
+
+    def __eq__(self, other):
+        if not isinstance(other, JointFrequencyTable):
+            return NotImplemented
+        return self.domain is other.domain and all(
+            np.array_equal(a, b)
+            for a, b in ((self.xs, other.xs), (self.zs, other.zs), (self.ns, other.ns))
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"JointFrequencyTable(domain={self.domain}, cells={len(self.xs)}, "
+                f"total={self.total})")
+
+    @property
+    def cells(self) -> CellView:
+        """Read-only ``(x, z) -> count`` view of the columns."""
+        return CellView(self.xs, self.zs, self.ns)
 
     @classmethod
     def from_pairs(cls, pairs, domain: Domain) -> "JointFrequencyTable":
         """Aggregate an iterable of ``(x, z, count)`` rows into a table."""
-        cells: dict[tuple[int, int], int] = {}
-        for x, z, n in pairs:
-            x, z = int(x), int(z)
-            _check_pair(x, z, domain)
-            cells[(x, z)] = cells.get((x, z), 0) + _as_count(n)
-        if not cells:
+        rows = [(int(x), int(z), _as_count(n)) for x, z, n in pairs]
+        if not rows:
             raise EmptyInput("no pairs supplied")
-        return cls(domain=domain, cells=cells, total=sum(cells.values()))
+        return _aggregate(*_checked_rows(*zip(*rows), domain), domain)
 
     def sorted_cells(self) -> list[tuple[int, int, int]]:
         """Cells as (x, z, count) rows in ascending (x, z) order."""
-        return [(x, z, self.cells[(x, z)]) for x, z in sorted(self.cells)]
+        return list(zip(self.xs.tolist(), self.zs.tolist(), self.ns.tolist()))
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(xs, zs, counts) arrays in ascending cell order."""
-        rows = self.sorted_cells()
-        xs = np.array([r[0] for r in rows], dtype=np.int64)
-        zs = np.array([r[1] for r in rows], dtype=np.int64)
-        ns = np.array([r[2] for r in rows], dtype=np.int64)
-        return xs, zs, ns
+        """The read-only (xs, zs, counts) columns, in ascending cell order."""
+        return self.xs, self.zs, self.ns
 
     def scaled(self, factor: int) -> "JointFrequencyTable":
         """Table with every count multiplied by a positive integer."""
         factor = _as_count(factor)
-        cells = {key: n * factor for key, n in self.cells.items()}
-        return JointFrequencyTable(self.domain, cells, self.total * factor)
+        if self.total * factor > MAX_COUNT:
+            raise OverflowError("total count exceeds 2**63 - 1")
+        return JointFrequencyTable(self.domain, self.xs, self.zs, self.ns * factor)
+
+
+def _aggregate(xs, zs, ns, domain: Domain) -> JointFrequencyTable:
+    """Table of checked row columns; equal (x, z) rows are summed."""
+    # Every run sum below is at most the checked total, so none can wrap.
+    _exact_total(ns)
+    order = np.lexsort((zs, xs))
+    xs, zs, ns = xs[order], zs[order], ns[order]
+    starts = _run_starts(xs, zs)
+    return JointFrequencyTable(
+        domain, xs[starts], zs[starts], np.add.reduceat(ns, starts)
+    )
 
 
 def build_table(pairs, domain: Domain) -> JointFrequencyTable:
@@ -291,13 +453,16 @@ class MalCurve:
 
 def marginal(table: JointFrequencyTable, axis: Axis) -> MarginalDistribution:
     """Project the joint table onto one axis."""
-    agg: dict[int, int] = {}
-    pick = 0 if axis is Axis.X else 1
-    for key, n in table.cells.items():
-        v = key[pick]
-        agg[v] = agg.get(v, 0) + n
-    values = sorted(agg)
-    return MarginalDistribution.from_counts(values, [agg[v] for v in values])
+    if axis is Axis.X:
+        values, counts = table.xs, table.ns
+    else:
+        order = np.argsort(table.zs, kind="stable")
+        values, counts = table.zs[order], table.ns[order]
+    starts = _run_starts(values)
+    # Each marginal count is part of the checked total, so int64 is exact.
+    return MarginalDistribution.from_counts(
+        values[starts], np.add.reduceat(counts, starts)
+    )
 
 
 def empirical_mal_curve(table: JointFrequencyTable) -> MalCurve:
@@ -305,31 +470,31 @@ def empirical_mal_curve(table: JointFrequencyTable) -> MalCurve:
 
     For each construct length x the curve holds
     ``y(x) = sum_z z * n(x, z) / (x * sum_z n(x, z))`` and the weight
-    ``n(x) = sum_z n(x, z)``.
+    ``n(x) = sum_z n(x, z)``.  The sums are exact integers.
     """
     if table.domain is not Domain.SEGMENTS:
         raise WrongDomain("Menzerath curve needs a segment-domain table; convert first")
-    z_sum: dict[int, int] = {}
-    n_sum: dict[int, int] = {}
-    for (x, z), n in table.cells.items():
-        z_sum[x] = z_sum.get(x, 0) + z * n
-        n_sum[x] = n_sum.get(x, 0) + n
-    xs = sorted(n_sum)
-    ys = [z_sum[x] / (x * n_sum[x]) for x in xs]
+    xs, zs, ns = table.support_x, table.zs, table.ns
+    # z >= x, so max(z) * total bounds every sum and product below.
+    if int(table.support_z[-1]) * table.total >= _EXACT_INT_FLOAT:
+        # Python ints: exact at any size, and their division rounds once.
+        xs, zs, ns = xs.astype(object), zs.astype(object), ns.astype(object)
+    starts = _run_starts(table.xs)
+    n_sum = np.add.reduceat(ns, starts)
+    z_sum = np.add.reduceat(zs * ns, starts)
     return MalCurve(
-        xs=np.array(xs, dtype=np.int64),
-        ys=np.array(ys, dtype=float),
-        ns=np.array([n_sum[x] for x in xs], dtype=float),
+        xs=table.support_x,
+        ys=np.asarray(z_sum / (xs * n_sum), dtype=float),
+        ns=np.asarray(n_sum, dtype=float),
     )
 
 
 def _variable_values(table: JointFrequencyTable, variable: Variable) -> np.ndarray:
-    xs, zs, _ = table.arrays()
     if variable is Variable.X:
-        return xs.astype(float)
+        return table.xs.astype(float)
     if variable in (Variable.Z, Variable.XY_PRODUCT):
-        return zs.astype(float)
-    raw = xs if variable is Variable.LOG_X else zs
+        return table.zs.astype(float)
+    raw = table.xs if variable is Variable.LOG_X else table.zs
     if np.any(raw <= 0):
         raise LogOfNonpositive(
             f"{variable.value} undefined: values <= 0 present (boundary-domain zeros?)"
@@ -337,11 +502,21 @@ def _variable_values(table: JointFrequencyTable, variable: Variable) -> np.ndarr
     return np.log(raw.astype(float))
 
 
-def _weighted_mean_sd(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
+def _mean_var(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
     # Population convention (divide by total count), which makes the
-    # closed-form regression identities exact.
+    # closed-form regression identities exact.  Every weighted moment in
+    # the package comes from here.
+    if values.min() == values.max():
+        # A constant has no spread, but with huge weights the weighted
+        # average can miss it by an ulp and leave a spurious variance.
+        return float(values[0]), 0.0
     mean = float(np.average(values, weights=weights))
     var = float(np.average((values - mean) ** 2, weights=weights))
+    return mean, var
+
+
+def _weighted_mean_sd(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
+    mean, var = _mean_var(values, weights)
     return mean, math.sqrt(max(var, 0.0))
 
 
@@ -351,18 +526,14 @@ def weighted_moments(table: JointFrequencyTable, variable: Variable) -> Weighted
     Natural logarithm throughout for the LOG_* variants; values must be
     positive there (x = z = 1 is fine, ln 1 = 0).
     """
-    values = _variable_values(table, variable)
-    _, _, ns = table.arrays()
-    mean, sd = _weighted_mean_sd(values, ns)
+    mean, sd = _weighted_mean_sd(_variable_values(table, variable), table.ns)
     return WeightedMoments(mean=mean, sd=sd)
 
 
 def _pearson(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
-    ma = float(np.average(a, weights=w))
-    mb = float(np.average(b, weights=w))
+    ma, va = _mean_var(a, w)
+    mb, vb = _mean_var(b, w)
     cov = float(np.average((a - ma) * (b - mb), weights=w))
-    va = float(np.average((a - ma) ** 2, weights=w))
-    vb = float(np.average((b - mb) ** 2, weights=w))
     if va <= 0.0 or vb <= 0.0:
         raise DegenerateVariance("correlation undefined: a variable has zero variance")
     return float(np.clip(cov / math.sqrt(va * vb), -1.0, 1.0))
@@ -376,5 +547,4 @@ def weighted_correlation(table: JointFrequencyTable, space: Space = Space.RAW) -
     else:
         a = _variable_values(table, Variable.LOG_X)
         b = _variable_values(table, Variable.LOG_Z)
-    _, _, ns = table.arrays()
-    return _pearson(a, b, ns)
+    return _pearson(a, b, table.ns)

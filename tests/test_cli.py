@@ -128,6 +128,18 @@ class TestFit:
         payload = json.loads((out / "report.json").read_text())
         assert payload["dataset"]["total"] == 5
 
+    def test_corpus_file_splits_lines_at_newline_only(self, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_bytes(b"ab-c\rd-ef\r\nab-cd\nabc\n")
+        out = tmp_path / "out"
+        result = run(
+            "fit", "--input", str(corpus), "--kind", "corpus",
+            "--models", "hyperbolic", "--out", str(out),
+        )
+        assert result.returncode == 0, result.stderr
+        curve = json.loads((out / "report.json").read_text())["dataset"]["mal_curve"]
+        assert [(p["x"], p["n"]) for p in curve] == [(1, 1.0), (2, 1.0), (3, 1.0)]
+
     def test_boundary_domain_table_converted(self, tmp_path):
         path = tmp_path / "b.csv"
         path.write_text("#domain=boundaries\n0,1,5\n1,3,5\n2,4,2\n", encoding="utf-8")

@@ -1,5 +1,9 @@
 """Frequency-table files and segmented corpora."""
 
+import io
+import os
+import tempfile
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -175,3 +179,69 @@ class TestCorpusFormat:
     def test_single_character_only(self):
         with pytest.raises(ValueError):
             CorpusFormat(constituent_delimiter="--")
+
+
+def _outcome(parse, source):
+    try:
+        table = parse(source)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+    return table.domain, dict(table.cells)
+
+
+def _carriers(text):
+    """The same text as a string, a text stream and an open file."""
+    yield text
+    yield io.StringIO(text, newline="")
+    fd, path = tempfile.mkstemp(suffix=".txt")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as out:
+            out.write(text)
+        with open(path, encoding="utf-8", newline="") as stream:
+            yield stream
+    finally:
+        os.remove(path)
+
+
+# Line breaks for str.splitlines besides "\n"; a universal-newlines
+# stream breaks at "\r" as well.
+_ODD_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_table_lines = st.one_of(
+    st.tuples(st.integers(1, 4), st.integers(0, 4), st.integers(1, 9)).map(
+        lambda t: f"{t[0]},{t[0] + t[1]},{t[2]}"
+    ),
+    st.text(alphabet="#x,z01" + _ODD_BREAKS, max_size=8).map(lambda s: "#" + s),
+    st.text(alphabet="12,\t" + _ODD_BREAKS, max_size=8),
+)
+_corpus_lines = st.text(alphabet="ab-é#" + _ODD_BREAKS, max_size=10)
+
+
+@st.composite
+def _texts(draw, lines):
+    body = draw(st.lists(lines, min_size=1, max_size=8))
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n"]),
+                            min_size=len(body), max_size=len(body)))
+    text = "".join(line + end for line, end in zip(body, endings))
+    return text + draw(st.sampled_from(["", "\r", "x"]))
+
+
+class TestCarriers:
+    """Strings, streams and files split lines at ``\\n`` alone."""
+
+    def test_line_separator_inside_a_line(self):
+        text = "ab-c\u2028d-ef"
+        assert parse_segmented_corpus(text).cells == {(3, 7): 1}
+        stream = io.StringIO(text, newline="")
+        assert parse_segmented_corpus(stream).cells == {(3, 7): 1}
+
+    @given(_texts(_table_lines))
+    @settings(max_examples=80)
+    def test_frequency_table_carriers_agree(self, text):
+        outcomes = [_outcome(parse_frequency_table, c) for c in _carriers(text)]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+
+    @given(_texts(_corpus_lines))
+    @settings(max_examples=80)
+    def test_corpus_carriers_agree(self, text):
+        outcomes = [_outcome(parse_segmented_corpus, c) for c in _carriers(text)]
+        assert outcomes[0] == outcomes[1] == outcomes[2]

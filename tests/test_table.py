@@ -17,6 +17,7 @@ from menzerath import (
     Space,
     UOutOfRange,
     Variable,
+    WeightedMoments,
     WrongDomain,
     build_table,
     empirical_mal_curve,
@@ -223,6 +224,15 @@ class TestWeightedCorrelation:
     def test_point_mass_degenerate(self):
         with pytest.raises(DegenerateVariance):
             weighted_correlation(from_cells({(2, 5): 9}))
+
+    def test_constant_x_with_huge_counts_is_degenerate(self):
+        # With counts near 2**62 a weighted average of a constant can miss
+        # it by an ulp; the spread of a constant must still be exactly 0.
+        a = 2**62 - 1
+        t = build_table([(3, 3, a), (3, 4, a - a // 3)], Domain.SEGMENTS)
+        assert weighted_moments(t, Variable.X) == WeightedMoments(mean=3.0, sd=0.0)
+        with pytest.raises(DegenerateVariance):
+            weighted_correlation(t)
 
     def test_product_table_independent(self):
         cells = {(x, z): 1 for x in (1, 2) for z in (2, 4)}

@@ -6,6 +6,8 @@ statistics recomputed with plain numpy, regressions solved through the
 normal equations, and integrals evaluated by adaptive quadrature.
 """
 
+import math
+
 import numpy as np
 
 from menzerath import Domain, JointFrequencyTable, build_table
@@ -61,3 +63,89 @@ def random_marginal_counts(
     support = sorted(rng.choice(np.arange(lo, hi + 1), size=size, replace=False))
     counts = [int(rng.integers(1, 30)) for _ in support]
     return [int(v) for v in support], counts
+
+
+# Plain-dict references for the columnar table core.  They walk Python
+# dicts with Python ints and floats, in ascending (x, z) order, the way
+# the package computed these quantities before its tables became
+# columns, so integer results must match exactly and float sums bit for
+# bit.
+
+
+def ref_cells(rows) -> dict:
+    """``(x, z) -> count`` with equal keys summed as Python ints."""
+    cells: dict[tuple[int, int], int] = {}
+    for x, z, n in rows:
+        cells[(int(x), int(z))] = cells.get((int(x), int(z)), 0) + int(n)
+    return cells
+
+
+def ref_marginal(cells: dict, pick: int) -> tuple[list[int], list[int]]:
+    """Support and counts of one axis (0 for x, 1 for z)."""
+    agg: dict[int, int] = {}
+    for key, n in cells.items():
+        agg[key[pick]] = agg.get(key[pick], 0) + n
+    support = sorted(agg)
+    return support, [agg[v] for v in support]
+
+
+def ref_mal_curve(cells: dict) -> list[tuple[int, float, float]]:
+    """``(x, y, n)`` points with exact integer sums and one rounding."""
+    z_sum: dict[int, int] = {}
+    n_sum: dict[int, int] = {}
+    for (x, z), n in sorted(cells.items()):
+        z_sum[x] = z_sum.get(x, 0) + z * n
+        n_sum[x] = n_sum.get(x, 0) + n
+    return [(x, z_sum[x] / (x * n_sum[x]), float(n_sum[x])) for x in sorted(n_sum)]
+
+
+def ref_moments(cells: dict, value) -> tuple[float, float]:
+    """Population mean and sd of ``value(x, z)`` under the counts."""
+    total = sum(cells.values())
+    mean = math.fsum(value(x, z) * n for (x, z), n in cells.items()) / total
+    var = math.fsum((value(x, z) - mean) ** 2 * n for (x, z), n in cells.items()) / total
+    return mean, math.sqrt(var)
+
+
+def ref_correlation(cells: dict, a, b) -> float:
+    """Weighted Pearson correlation of ``a(x, z)`` and ``b(x, z)``."""
+    total = sum(cells.values())
+    ma, sa = ref_moments(cells, a)
+    mb, sb = ref_moments(cells, b)
+    cov = math.fsum(
+        (a(x, z) - ma) * (b(x, z) - mb) * n for (x, z), n in cells.items()
+    ) / total
+    return cov / (sa * sb)
+
+
+def ref_to_boundaries(cells: dict) -> dict:
+    return {(x - 1, z - x): n for (x, z), n in cells.items()}
+
+
+def ref_from_boundaries(cells: dict) -> dict:
+    return {(x + 1, z + x + 1): n for (x, z), n in cells.items()}
+
+
+def ref_infeasible_mass(probabilities: dict) -> float:
+    """Mass on z < x, summed in ascending (x, z) order."""
+    return float(sum(p for (x, z), p in sorted(probabilities.items()) if z < x))
+
+
+def ref_axis_sums(probabilities: dict, pick: int) -> dict[int, float]:
+    """Probability per axis value, summed in ascending (x, z) order."""
+    sums: dict[int, float] = {}
+    for key, p in sorted(probabilities.items()):
+        sums[key[pick]] = sums.get(key[pick], 0.0) + p
+    return sums
+
+
+def ref_predicted_curve(probabilities: dict) -> list[tuple[int, float, float]]:
+    """Model curve ``(x, y, mass)``, sums in ascending (x, z) order."""
+    z_sum: dict[int, float] = {}
+    p_sum: dict[int, float] = {}
+    for (x, z), p in sorted(probabilities.items()):
+        z_sum[x] = z_sum.get(x, 0.0) + z * p
+        p_sum[x] = p_sum.get(x, 0.0) + p
+    return [
+        (x, z_sum[x] / (x * p_sum[x]), p_sum[x]) for x in sorted(p_sum) if p_sum[x] > 0.0
+    ]
