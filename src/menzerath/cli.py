@@ -15,6 +15,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .boundaries import (
     boundary_copula_cells,
     cells_from_boundaries,
@@ -63,6 +65,10 @@ from .svgfig import Layout, PanelModel, render_svg
 from .table import Domain, Space, empirical_mal_curve
 
 __all__ = ["main"]
+
+# Rows per sample_copula call in ``sample``: peak memory follows this
+# constant, not --n (unless the scatter in figure.svg keeps every row).
+_SAMPLE_CHUNK = 1 << 16
 
 ALL_MODELS = ("hyperbolic", "altmann", "altmann-direct", "gaussian", "lognormal", "copula")
 
@@ -330,32 +336,41 @@ def _cmd_sample(args) -> int:
     estimator = _estimator(args)
     if args.boundaries:
         model = fit_copula(to_boundaries(table), estimator)
-        samples = pairs_from_boundaries(sample_copula(model, args.n, args.seed))
         model_name = "copula-boundaries"
-        cells = None
     else:
         model = fit_copula(table, estimator)
-        samples = sample_copula(model, args.n, args.seed)
         model_name = "copula"
-        cells = cell_probabilities(model)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = [
+    header = (
         f"# model={model_name} estimator={model.estimator.value} "
-        f"rho={model.rho!r} n={args.n} seed={args.seed}",
-        "x,z",
-    ]
-    lines.extend(f"{int(x)},{int(z)}" for x, z in samples)
-    _write(out_dir / "samples.csv", "\n".join(lines) + "\n")
+        f"rho={model.rho!r} n={args.n} seed={args.seed}\nx,z\n"
+    )
+    # Chunks drawn from one Generator continue its stream, so they
+    # concatenate to the one-shot sample_copula(model, n, seed).
+    rng = np.random.default_rng(args.seed)
+    parts = []
+    with open(out_dir / "samples.csv", "wb") as out:
+        out.write(header.encode("utf-8"))
+        for start in range(0, args.n, _SAMPLE_CHUNK):
+            k = min(_SAMPLE_CHUNK, args.n - start)
+            part = sample_copula(model, k, rng)
+            if args.boundaries:
+                part = pairs_from_boundaries(part)
+            rows = ("%d,%d\n" * k) % tuple(part.ravel().tolist())
+            out.write(rows.encode("ascii"))
+            if "svg" in emit:
+                parts.append(part)
     if "svg" in emit:
+        cells = cell_probabilities(model)
+        if args.boundaries:
+            cells = cells_from_boundaries(cells)
         curve = empirical_mal_curve(table)
-        if cells is None:
-            cells = cells_from_boundaries(cell_probabilities(model))
         predicted = predicted_mal_from_cells(cells)
         pm = PanelModel(model_name, predicted, rss(curve, predicted))
         _write(
             out_dir / "figure.svg",
-            render_svg(table, [pm], samples, Layout.COMPOSITE),
+            render_svg(table, [pm], np.concatenate(parts), Layout.COMPOSITE),
         )
     print(f"wrote {out_dir / 'samples.csv'} ({args.n} pairs, seed {args.seed})")
     return 0

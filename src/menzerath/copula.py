@@ -291,13 +291,17 @@ def cell_probabilities(model: GaussianCopulaModel) -> JointProbabilityTable:
     )
 
 
-def sample_copula(model: GaussianCopulaModel, n: int, seed: int) -> np.ndarray:
+def sample_copula(
+    model: GaussianCopulaModel, n: int, seed: int | np.random.Generator
+) -> np.ndarray:
     """Draw n pairs from the copula model as an (n, 2) integer array.
 
     Per draw: a correlated standard-normal pair is mapped to uniforms
     through the normal CDF, then to support values through each
     marginal's quantile function.  Deterministic given the seed (see
-    :mod:`menzerath._normals` for the generator contract).
+    :mod:`menzerath._normals` for the generator contract).  ``seed`` may
+    also be a ``numpy.random.Generator``, whose stream continues, so
+    successive calls on one Generator concatenate to a single draw.
     """
     z = standard_normal_pairs(n, seed)
     z1, z2 = correlate_pairs(z, model.rho)

@@ -135,7 +135,7 @@ def _joint_panel(table, samples, ox, oy, width, height):
         )
     if samples is not None and len(samples):
         pts = []
-        for x, z in np.asarray(samples):
+        for x, z in samples.tolist():
             pts.append(
                 f'<circle cx="{_f(sx(float(x)))}" cy="{_f(sz(float(z)))}" '
                 'r="2.5" fill="#d6604d" fill-opacity="0.35"/>'

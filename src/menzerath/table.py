@@ -373,8 +373,10 @@ class MarginalDistribution:
         counts = np.asarray(counts, dtype=np.int64)
         order = np.argsort(values)
         values, counts = values[order], counts[order]
-        total = counts.sum()
-        pmf = counts / total
+        total = _exact_total(counts)
+        # Python ints divide exactly and round once; float64 would round
+        # each count and the total first once the total passes 2**53.
+        pmf = (counts.astype(object) / total).astype(float)
         cdf = np.cumsum(pmf)
         cdf[-1] = 1.0
         return cls(support=values, pmf=pmf, cdf=cdf)

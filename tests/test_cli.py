@@ -203,6 +203,50 @@ class TestSample:
         assert (out / "figure.svg").exists()
 
 
+class TestSampleChunks:
+    """Streamed samples.csv against an independent one-shot formatting."""
+
+    @pytest.mark.parametrize("boundaries", [False, True])
+    def test_chunked_csv_matches_one_shot(
+        self, boundaries, table_file, tmp_path, monkeypatch
+    ):
+        from menzerath import (
+            cli,
+            fit_copula,
+            pairs_from_boundaries,
+            parse_frequency_table,
+            sample_copula,
+            to_boundaries,
+        )
+
+        flags = ["--boundaries"] if boundaries else []
+        argv = ["sample", "--input", str(table_file), "--n", "50", "--seed", "4",
+                "--emit", "csv,svg", *flags]
+        assert cli.main([*argv, "--out", str(tmp_path / "whole")]) == 0
+        # 50 rows in chunks of 7: seven full chunks and a 1-row remainder.
+        monkeypatch.setattr(cli, "_SAMPLE_CHUNK", 7)
+        out = tmp_path / "chunked"
+        assert cli.main([*argv, "--out", str(out)]) == 0
+
+        table = parse_frequency_table(TABLE)
+        if boundaries:
+            model = fit_copula(to_boundaries(table))
+            expected = pairs_from_boundaries(sample_copula(model, 50, 4))
+        else:
+            model = fit_copula(table)
+            expected = sample_copula(model, 50, 4)
+        header, columns, *rows = (out / "samples.csv").read_text().split("\n")
+        assert header.startswith("# model=copula") and header.endswith("n=50 seed=4")
+        assert columns == "x,z"
+        assert rows == [f"{x},{z}" for x, z in expected.tolist()] + [""]
+        # The scatter is drawn from the same rows, however they were chunked.
+        whole = (tmp_path / "whole" / "figure.svg").read_bytes()
+        assert (out / "figure.svg").read_bytes() == whole
+        assert (out / "samples.csv").read_bytes() == (
+            tmp_path / "whole" / "samples.csv"
+        ).read_bytes()
+
+
 class TestDeterminism:
     def test_fit_and_sample_reproducible(self, table_file, tmp_path):
         outputs = []

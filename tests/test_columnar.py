@@ -128,9 +128,18 @@ def test_marginals_and_curve_are_exact(table):
         support, counts = ref_marginal(cells, pick)
         m = marginal(table, axis)
         assert m.support.tolist() == support
-        counts = np.array(counts, dtype=np.int64)
-        assert np.array_equal(m.pmf, counts / counts.sum())
+        # Correctly rounded: Python ints divide exactly, then round once.
+        assert m.pmf.tolist() == [c / sum(counts) for c in counts]
     assert empirical_mal_curve(table).points == ref_mal_curve(cells)
+
+
+def test_pmf_is_correctly_rounded_past_2_53():
+    # float64 rounds both counts and their total (about 2**62) before
+    # dividing, which lands one ulp off the exact quotient here.
+    a, b = 2400321522944818455, 2343953142055984643
+    table = build_table([(1, 1, a), (2, 2, b)], Domain.SEGMENTS)
+    pmf = marginal(table, Axis.X).pmf.tolist()
+    assert pmf == [a / (a + b), b / (a + b)] == [0.5059406742725786, 0.49405932572742134]
 
 
 @given(tables)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from menzerath import (
@@ -269,6 +271,24 @@ class TestSampleCopula:
         a = sample_copula(model, 100, 42)
         b = sample_copula(model, 100, 42)
         assert a.tobytes() == b.tobytes()
+
+    @given(
+        seed=st.integers(0, 2**63 - 1),
+        sizes=st.one_of(
+            st.lists(st.integers(1, 50), min_size=1, max_size=8),
+            # Fixed chunks of k rows and a shorter remainder, as the CLI draws.
+            st.tuples(st.integers(1, 300), st.integers(1, 64)).map(
+                lambda t: [t[1]] * (t[0] // t[1]) + [t[0] % t[1]] * (t[0] % t[1] > 0)
+            ),
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_chunks_from_one_generator_match_one_shot(self, seed, sizes):
+        model = random_model(np.random.default_rng(33))
+        rng = np.random.default_rng(seed)
+        chunks = [sample_copula(model, k, rng) for k in sizes]
+        one_shot = sample_copula(model, sum(sizes), seed)
+        assert np.concatenate(chunks).tobytes() == one_shot.tobytes()
 
     def test_comonotone_limit_with_identical_marginals(self):
         from menzerath.table import MarginalDistribution
