@@ -18,7 +18,7 @@ from menzerath import (
     marginal,
     parse_frequency_table,
     parse_segmented_corpus,
-    weighted_correlation,
+    weighted_moments,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -39,7 +39,7 @@ for x, y, n in curve.points:
 # %% Marginals project the joint table onto one axis.
 mx = marginal(table, Axis.X)
 print("x marginal pmf:", dict(zip(mx.support.tolist(), mx.pmf.round(4).tolist())))
-print(f"raw correlation between x and z: {weighted_correlation(table):.4f}")
+print(f"raw correlation between x and z: {weighted_moments(table).rho:.4f}")
 
 # %% The same objects come from files: a frequency-table CSV ...
 bundled = parse_frequency_table((DATA / "menzerath_synthetic.csv").read_text())

@@ -14,18 +14,12 @@ from menzerath import (
     ComparisonReport,
     Layout,
     PanelModel,
-    boundary_copula_cells,
     cells_csv,
+    compare,
     curves_csv,
     dataset_summary,
-    empirical_mal_curve,
-    fit_copula,
-    cell_probabilities,
-    infeasible_mass,
     parse_frequency_table,
-    predicted_mal_from_cells,
     render_svg,
-    rss,
     sample_copula,
     to_boundaries,
     write_report,
@@ -34,64 +28,32 @@ from menzerath import (
 DATA = Path(__file__).resolve().parent.parent / "data"
 OUT = Path(__file__).resolve().parent / "output"
 table = parse_frequency_table((DATA / "menzerath_synthetic.csv").read_text())
-curve = empirical_mal_curve(table)
 
 # %% The transform itself: a (2, 7) word has boundary counts (1, 5).
 boundary_table = to_boundaries(table)
 print(f"boundary table spans x' {min(x for x, _ in boundary_table.cells)}..."
       f"{max(x for x, _ in boundary_table.cells)}")
 
-# %% Plain copula vs boundary-space copula.
-plain = fit_copula(table)
-plain_cells = cell_probabilities(plain)
-mapped_cells, boundary_model = boundary_copula_cells(table)
-print(f"plain copula:    rho {plain.rho:.4f}, "
-      f"infeasible mass {infeasible_mass(plain_cells):.6f}")
-print(f"boundary copula: rho {boundary_model.rho:.4f}, "
-      f"infeasible mass {infeasible_mass(mapped_cells):.6f}")
+# %% Plain copula vs boundary-space copula, fitted and scored side by
+# side; every copula block carries the seed of its samples.
+result = compare(table, ["copula", "copula-boundaries"], seed=0)
+for block in result.blocks:
+    print(f"{block['model']:<18} rho {block['params']['rho']:.4f}, "
+          f"infeasible mass {block['infeasible_mass']:.6f}, RSS {block['rss']:.6f}")
 
-plain_curve = predicted_mal_from_cells(plain_cells)
-mapped_curve = predicted_mal_from_cells(mapped_cells)
-print(f"RSS plain {rss(curve, plain_curve):.6f} vs "
-      f"boundary {rss(curve, mapped_curve):.6f}")
-
-# %% Assemble a report: dataset summary plus per-model blocks, always
-# carrying the seed so every artifact is reproducible.
-blocks = (
-    {
-        "model": "copula",
-        "estimator": plain.estimator.value,
-        "params": {"rho": plain.rho},
-        "infeasible_mass": infeasible_mass(plain_cells),
-        "rss": rss(curve, plain_curve),
-    },
-    {
-        "model": "copula-boundaries",
-        "estimator": boundary_model.estimator.value,
-        "params": {"rho": boundary_model.rho},
-        "infeasible_mass": infeasible_mass(mapped_cells),
-        "rss": rss(curve, mapped_curve),
-    },
-)
+# %% Assemble a report: dataset summary plus the per-model blocks.
 report = ComparisonReport(
-    dataset=dataset_summary(table), models=blocks, sampling={"seed": 0, "n": 100}
+    dataset=dataset_summary(table), models=result.blocks, sampling={"seed": 0, "n": 100}
 )
 
 # %% Write everything; identical inputs give byte-identical files.
 OUT.mkdir(exist_ok=True)
 (OUT / "report.json").write_text(write_report(report), encoding="utf-8")
-(OUT / "curves.csv").write_text(
-    curves_csv(curve, {"copula": plain_curve, "copula-boundaries": mapped_curve}),
-    encoding="utf-8",
-)
-(OUT / "cells.csv").write_text(
-    cells_csv(table, {"copula": plain_cells, "copula-boundaries": mapped_cells}),
-    encoding="utf-8",
-)
-samples = sample_copula(plain, 100, seed=0)
+(OUT / "curves.csv").write_text(curves_csv(result.curve, result.curves), encoding="utf-8")
+(OUT / "cells.csv").write_text(cells_csv(table, result.cells), encoding="utf-8")
+samples = sample_copula(result.copulas["copula"], 100, seed=0)
 panels = [
-    PanelModel("copula", plain_curve, rss(curve, plain_curve)),
-    PanelModel("copula-boundaries", mapped_curve, rss(curve, mapped_curve)),
+    PanelModel(b["model"], result.curves[b["model"]], b["rss"]) for b in result.blocks
 ]
 (OUT / "figure.svg").write_text(
     render_svg(table, panels, samples, Layout.COMPOSITE), encoding="utf-8"

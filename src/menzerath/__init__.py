@@ -11,7 +11,6 @@ compared against the empirical one by residual sum of squares.
 from .boundaries import (
     boundary_copula_cells,
     cells_from_boundaries,
-    fit_boundary_copula,
     from_boundaries,
     pairs_from_boundaries,
     to_boundaries,
@@ -72,8 +71,10 @@ from .ingest import (
 from .report import (
     MODEL_ORDER,
     SCHEMA_VERSION,
+    Comparison,
     ComparisonReport,
     cells_csv,
+    compare,
     curves_csv,
     dataset_summary,
     write_report,
@@ -86,12 +87,10 @@ from .table import (
     MalCurve,
     MarginalDistribution,
     Space,
-    Variable,
     WeightedMoments,
     build_table,
     empirical_mal_curve,
     marginal,
-    weighted_correlation,
     weighted_moments,
 )
 

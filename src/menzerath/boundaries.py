@@ -26,7 +26,6 @@ __all__ = [
     "from_boundaries",
     "cells_from_boundaries",
     "pairs_from_boundaries",
-    "fit_boundary_copula",
     "boundary_copula_cells",
 ]
 
@@ -78,13 +77,6 @@ def pairs_from_boundaries(pairs: np.ndarray) -> np.ndarray:
     return out
 
 
-def fit_boundary_copula(
-    table: JointFrequencyTable, estimator: Estimator = Estimator.PEARSON_RAW
-) -> GaussianCopulaModel:
-    """Fit the copula in boundary space (the --boundaries variant)."""
-    return fit_copula(to_boundaries(table), estimator)
-
-
 def boundary_copula_cells(
     table: JointFrequencyTable, estimator: Estimator = Estimator.PEARSON_RAW
 ) -> tuple[JointProbabilityTable, GaussianCopulaModel]:
@@ -93,5 +85,5 @@ def boundary_copula_cells(
     Returns the mapped segment-domain cells together with the fitted
     boundary-space model.
     """
-    model = fit_boundary_copula(table, estimator)
+    model = fit_copula(to_boundaries(table), estimator)
     return cells_from_boundaries(cell_probabilities(model)), model

@@ -32,8 +32,6 @@ from .table import (
     JointFrequencyTable,
     MalCurve,
     Space,
-    Variable,
-    weighted_correlation,
     weighted_moments,
 )
 
@@ -107,17 +105,11 @@ def fit_linear(table: JointFrequencyTable, space: Space = Space.RAW) -> LinearFi
     """
     if space is Space.LOG and table.domain is not Domain.SEGMENTS:
         raise WrongDomain("log-space regression needs a segment-domain table")
-    if space is Space.RAW:
-        mx = weighted_moments(table, Variable.X)
-        mz = weighted_moments(table, Variable.Z)
-    else:
-        mx = weighted_moments(table, Variable.LOG_X)
-        mz = weighted_moments(table, Variable.LOG_Z)
-    if mx.sd == 0.0:
+    m = weighted_moments(table, space)
+    if m.sd_x == 0.0:
         raise DegenerateVariance("regressor has zero variance (single x value)")
-    rho = weighted_correlation(table, space)
-    beta = rho * mz.sd / mx.sd
-    alpha = mz.mean - beta * mx.mean
+    beta = m.correlation() * m.sd_z / m.sd_x
+    alpha = m.mean_z - beta * m.mean_x
     return LinearFit(alpha=alpha, beta=beta, space=space)
 
 

@@ -7,8 +7,8 @@ optional CSV/SVG artifacts.  ``sample`` draws seeded random pairs from
 the fitted Gaussian copula.  Identical inputs, flags and seed produce
 byte-identical outputs.
 
-Exit codes: 0 success, 1 input or parse errors, 2 fit errors
-(degenerate variance and friends).
+Exit codes: 0 success, 1 option, input or parse errors, 2 fit errors
+(degenerate variance and every other package error).
 """
 
 import argparse
@@ -17,60 +17,30 @@ from pathlib import Path
 
 import numpy as np
 
-from .boundaries import (
-    boundary_copula_cells,
-    cells_from_boundaries,
-    from_boundaries,
-    pairs_from_boundaries,
-    to_boundaries,
-)
-from .classical import (
-    altmann_from_loglinear,
-    eval_model,
-    fit_altmann_direct,
-    fit_linear,
-    hyperbolic_from_linear,
-    rss,
-)
-from .copula import (
-    Estimator,
-    cell_probabilities,
-    fit_copula,
-    infeasible_mass,
-    predicted_mal_from_cells,
-    sample_copula,
-)
-from .errors import (
-    DegenerateVariance,
-    EmptyConstituent,
-    EmptyInput,
-    InvalidPair,
-    LogOfNonpositive,
-    NonpositiveY,
-    ParseError,
-    RhoOutOfRange,
-    WrongDomain,
-    WrongSpace,
-)
-from .gaussian import fit_bivariate, predicted_mal
+from .boundaries import from_boundaries, pairs_from_boundaries, to_boundaries
+from .copula import Estimator, fit_copula, sample_copula
+from .errors import EmptyConstituent, EmptyInput, InvalidPair, MenzerathError, ParseError
 from .ingest import CorpusFormat, parse_frequency_table, parse_segmented_corpus
 from .report import (
+    MODEL_ORDER,
     ComparisonReport,
     cells_csv,
+    compare,
     curves_csv,
     dataset_summary,
     write_report,
 )
 from .svgfig import Layout, PanelModel, render_svg
-from .table import Domain, Space, empirical_mal_curve
+from .table import Domain
 
 __all__ = ["main"]
 
-# Rows per sample_copula call in ``sample``: peak memory follows this
-# constant, not --n (unless the scatter in figure.svg keeps every row).
+# Rows per sample_copula call: peak memory follows this constant, not
+# --n (unless the scatter in figure.svg keeps every row).
 _SAMPLE_CHUNK = 1 << 16
 
-ALL_MODELS = ("hyperbolic", "altmann", "altmann-direct", "gaussian", "lognormal", "copula")
+# copula-boundaries is selected by --boundaries, not by name.
+ALL_MODELS = tuple(m for m in MODEL_ORDER if m != "copula-boundaries")
 
 _INPUT_ERRORS = (
     OSError,
@@ -80,14 +50,6 @@ _INPUT_ERRORS = (
     EmptyInput,
     EmptyConstituent,
     OverflowError,
-)
-_FIT_ERRORS = (
-    DegenerateVariance,
-    LogOfNonpositive,
-    WrongDomain,
-    WrongSpace,
-    RhoOutOfRange,
-    NonpositiveY,
 )
 
 
@@ -180,209 +142,119 @@ def _load_table(args):
     return table
 
 
-def _estimator(args) -> Estimator:
-    if args.log_copula:
-        return Estimator.PEARSON_LOG
-    return Estimator(args.estimator)
+def _check_options(args) -> str | None:
+    """Parse --emit, --estimator and --models in place.
 
-
-def _fit_one(name, table, curve, estimator, seed, copulas):
-    """Fit one model; returns (block, predicted_curve, cells_or_None).
-
-    A fitted copula model is also stored in ``copulas`` under its name.
+    Returns the message for the first invalid option value, or None.
     """
-    xs = curve.xs
-    if name == "hyperbolic":
-        fit = hyperbolic_from_linear(fit_linear(table, Space.RAW))
-        return (
-            {"model": name, "space": "raw", "derivation": "moment-closed-form",
-             "params": {"a": fit.a, "b": fit.b}},
-            eval_model(fit, xs),
-            None,
-        )
-    if name == "altmann":
-        fit = altmann_from_loglinear(fit_linear(table, Space.LOG))
-        return (
-            {"model": name, "space": "log", "derivation": "moment-closed-form",
-             "params": {"a": fit.a, "b": fit.b, "log_a": fit.log_a}},
-            eval_model(fit, xs),
-            None,
-        )
-    if name == "altmann-direct":
-        fit = fit_altmann_direct(curve)
-        return (
-            {"model": name, "space": "log", "derivation": "curve-ols",
-             "params": {"a": fit.a, "b": fit.b, "log_a": fit.log_a}},
-            eval_model(fit, xs),
-            None,
-        )
-    if name in ("gaussian", "lognormal"):
-        space = Space.RAW if name == "gaussian" else Space.LOG
-        params = fit_bivariate(table, space)
-        block = {
-            "model": name,
-            "space": space.value,
-            "params": {
-                "mean_x": params.mean_x, "mean_z": params.mean_z,
-                "sd_x": params.sd_x, "sd_z": params.sd_z, "rho": params.rho,
-            },
-        }
-        if name == "lognormal":
-            block["conditional"] = "median"
-        return block, predicted_mal(params, xs), None
-    if name == "copula":
-        model = copulas[name] = fit_copula(table, estimator)
-        cells = cell_probabilities(model)
-        block = {
-            "model": name,
-            "estimator": model.estimator.value,
-            "params": {"rho": model.rho},
-            "infeasible_mass": infeasible_mass(cells),
-            "seed": seed,
-        }
-        return block, predicted_mal_from_cells(cells), cells
-    if name == "copula-boundaries":
-        cells, model = boundary_copula_cells(table, estimator)
-        copulas[name] = model
-        block = {
-            "model": name,
-            "estimator": model.estimator.value,
-            "params": {"rho": model.rho},
-            "infeasible_mass": infeasible_mass(cells),
-            "seed": seed,
-        }
-        return block, predicted_mal_from_cells(cells), cells
-    raise ValueError(f"unknown model {name!r}")
-
-
-def _cmd_fit(args) -> int:
-    emit = _emit_kinds(args)
-    if emit is None:
-        return 1
-    table = _load_table(args)
-    names = [m.strip() for m in args.models.split(",") if m.strip()]
-    for m in names:
+    args.estimator = (
+        Estimator.PEARSON_LOG if args.log_copula else Estimator(args.estimator)
+    )
+    args.emit = {e.strip() for e in args.emit.split(",") if e.strip()}
+    unknown = args.emit - {"json", "csv", "svg"}
+    if unknown:
+        return f"unknown emit kind(s): {sorted(unknown)}"
+    if args.seed < 0:
+        return "--seed must be >= 0"
+    low = 1 if args.command == "sample" else 0
+    if args.n < low:
+        return f"{args.command} needs --n >= {low}"
+    if args.command == "sample":
+        return None
+    args.models = [m.strip() for m in args.models.split(",") if m.strip()]
+    for m in args.models:
         if m not in ALL_MODELS:
-            print(f"error: unknown model {m!r}", file=sys.stderr)
-            return 1
+            return f"unknown model {m!r}"
     if args.boundaries:
         # The boundary variant is always compared against the plain one.
-        for extra in ("copula", "copula-boundaries"):
-            if extra not in names:
-                names.append(extra)
-    if not names:
-        print("error: no models selected", file=sys.stderr)
-        return 1
-    estimator = _estimator(args)
-    curve = empirical_mal_curve(table)
-    blocks, curves, cells, copulas = [], {}, {}, {}
-    for name in names:
-        block, predicted, cell_table = _fit_one(
-            name, table, curve, estimator, args.seed, copulas
-        )
-        block["rss"] = rss(curve, predicted)
-        blocks.append(block)
-        curves[name] = predicted
-        if cell_table is not None:
-            cells[name] = cell_table
-    report = ComparisonReport(
-        dataset=dataset_summary(table),
-        models=tuple(blocks),
-        sampling={"seed": args.seed, "n": args.n},
-    )
+        args.models += ["copula", "copula-boundaries"]
+    if not args.models:
+        return "no models selected"
+    return None
+
+
+def _draw(model, args):
+    """``sample_copula(model, args.n, args.seed)`` in chunks of rows.
+
+    The chunks come from one Generator, whose stream they continue, so
+    they concatenate to the one-shot draw; under ``--boundaries`` each
+    is mapped to segment pairs.
+    """
+    rng = np.random.default_rng(args.seed)
+    for start in range(0, args.n, _SAMPLE_CHUNK):
+        part = sample_copula(model, min(_SAMPLE_CHUNK, args.n - start), rng)
+        yield pairs_from_boundaries(part) if args.boundaries else part
+
+
+def _write_figure(out_dir: Path, table, comparison, parts) -> None:
+    panels = [
+        PanelModel(b["model"], comparison.curves[b["model"]], b["rss"])
+        for b in comparison.blocks
+    ]
+    samples = np.concatenate(parts) if parts else None
+    _write(out_dir / "figure.svg", render_svg(table, panels, samples, Layout.COMPOSITE))
+
+
+def _out_dir(args) -> Path:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if "json" in emit:
+    return out_dir
+
+
+def _cmd_fit(args, table) -> int:
+    comparison = compare(table, args.models, args.estimator, args.seed)
+    report = ComparisonReport(
+        dataset=dataset_summary(table),
+        models=comparison.blocks,
+        sampling={"seed": args.seed, "n": args.n},
+    )
+    out_dir = _out_dir(args)
+    if "json" in args.emit:
         _write(out_dir / "report.json", write_report(report))
-    if "csv" in emit:
-        _write(out_dir / "curves.csv", curves_csv(curve, curves))
-        _write(out_dir / "cells.csv", cells_csv(table, cells))
-    if "svg" in emit:
-        samples = _figure_samples(args, table, estimator, copulas)
-        panel_models = [
-            PanelModel(b["model"], curves[b["model"]], b["rss"])
-            for b in report.models
-        ]
-        _write(
-            out_dir / "figure.svg",
-            render_svg(table, panel_models, samples, Layout.COMPOSITE),
-        )
+    if "csv" in args.emit:
+        _write(out_dir / "curves.csv", curves_csv(comparison.curve, comparison.curves))
+        _write(out_dir / "cells.csv", cells_csv(table, comparison.cells))
+    if "svg" in args.emit:
+        # The scatter mirrors `sample`: drawn from the copula fitted for
+        # the report, or from one fitted here when none was selected.
+        name = "copula-boundaries" if args.boundaries else "copula"
+        try:
+            model = comparison.copulas.get(name) or fit_copula(table, args.estimator)
+            parts = list(_draw(model, args))
+        except MenzerathError:
+            parts = []
+        _write_figure(out_dir, table, comparison, parts)
     for block in report.models:
         print(f"{block['model']}: rss={block['rss']!r}")
     return 0
 
 
-def _figure_samples(args, table, estimator, copulas):
-    # Scatter overlay mirrors the sample subcommand's output, drawn from
-    # the copula already fitted for the report when there is one.
-    try:
-        if args.boundaries:
-            model = copulas["copula-boundaries"]
-            return pairs_from_boundaries(sample_copula(model, args.n, args.seed))
-        model = copulas.get("copula") or fit_copula(table, estimator)
-        return sample_copula(model, args.n, args.seed)
-    except _FIT_ERRORS:
-        return None
-
-
-def _cmd_sample(args) -> int:
-    emit = _emit_kinds(args)
-    if emit is None:
-        return 1
-    if args.n < 1:
-        print("error: sample needs --n >= 1", file=sys.stderr)
-        return 1
-    table = _load_table(args)
-    estimator = _estimator(args)
-    if args.boundaries:
-        model = fit_copula(to_boundaries(table), estimator)
-        model_name = "copula-boundaries"
+def _cmd_sample(args, table) -> int:
+    name = "copula-boundaries" if args.boundaries else "copula"
+    comparison = None
+    if "svg" in args.emit:
+        comparison = compare(table, [name], args.estimator, args.seed)
+        model = comparison.copulas[name]
     else:
-        model = fit_copula(table, estimator)
-        model_name = "copula"
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+        fit_table = to_boundaries(table) if args.boundaries else table
+        model = fit_copula(fit_table, args.estimator)
+    out_dir = _out_dir(args)
     header = (
-        f"# model={model_name} estimator={model.estimator.value} "
+        f"# model={name} estimator={model.estimator.value} "
         f"rho={model.rho!r} n={args.n} seed={args.seed}\nx,z\n"
     )
-    # Chunks drawn from one Generator continue its stream, so they
-    # concatenate to the one-shot sample_copula(model, n, seed).
-    rng = np.random.default_rng(args.seed)
     parts = []
     with open(out_dir / "samples.csv", "wb") as out:
         out.write(header.encode("utf-8"))
-        for start in range(0, args.n, _SAMPLE_CHUNK):
-            k = min(_SAMPLE_CHUNK, args.n - start)
-            part = sample_copula(model, k, rng)
-            if args.boundaries:
-                part = pairs_from_boundaries(part)
-            rows = ("%d,%d\n" * k) % tuple(part.ravel().tolist())
+        for part in _draw(model, args):
+            rows = ("%d,%d\n" * len(part)) % tuple(part.ravel().tolist())
             out.write(rows.encode("ascii"))
-            if "svg" in emit:
+            if comparison is not None:
                 parts.append(part)
-    if "svg" in emit:
-        cells = cell_probabilities(model)
-        if args.boundaries:
-            cells = cells_from_boundaries(cells)
-        curve = empirical_mal_curve(table)
-        predicted = predicted_mal_from_cells(cells)
-        pm = PanelModel(model_name, predicted, rss(curve, predicted))
-        _write(
-            out_dir / "figure.svg",
-            render_svg(table, [pm], np.concatenate(parts), Layout.COMPOSITE),
-        )
+    if comparison is not None:
+        _write_figure(out_dir, table, comparison, parts)
     print(f"wrote {out_dir / 'samples.csv'} ({args.n} pairs, seed {args.seed})")
     return 0
-
-
-def _emit_kinds(args) -> set | None:
-    kinds = {e.strip() for e in args.emit.split(",") if e.strip()}
-    unknown = kinds - {"json", "csv", "svg"}
-    if unknown:
-        print(f"error: unknown emit kind(s): {sorted(unknown)}", file=sys.stderr)
-        return None
-    return kinds
 
 
 def _write(path: Path, text: str) -> None:
@@ -391,14 +263,17 @@ def _write(path: Path, text: str) -> None:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    error = _check_options(args)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
+    command = _cmd_fit if args.command == "fit" else _cmd_sample
     try:
-        if args.command == "fit":
-            return _cmd_fit(args)
-        return _cmd_sample(args)
+        return command(args, _load_table(args))
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _FIT_ERRORS as exc:
+    except MenzerathError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return 2
 

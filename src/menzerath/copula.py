@@ -31,10 +31,10 @@ from .table import (
     MarginalDistribution,
     Space,
     _check_ascending,
-    _pearson,
+    _moments,
     _run_sums,
     marginal,
-    weighted_correlation,
+    weighted_moments,
 )
 
 __all__ = [
@@ -234,13 +234,12 @@ def _normal_scores(m: MarginalDistribution, values: np.ndarray) -> np.ndarray:
 
 def estimate_rho(table: JointFrequencyTable, estimator: Estimator) -> float:
     """Correlation coefficient for the copula, by the chosen estimator."""
-    if estimator is Estimator.PEARSON_RAW:
-        return weighted_correlation(table, Space.RAW)
-    if estimator is Estimator.PEARSON_LOG:
-        return weighted_correlation(table, Space.LOG)
-    a = _normal_scores(marginal(table, Axis.X), table.xs)
-    b = _normal_scores(marginal(table, Axis.Z), table.zs)
-    return _pearson(a, b, table.ns.astype(float))
+    if estimator is Estimator.NORMAL_SCORES:
+        a = _normal_scores(marginal(table, Axis.X), table.xs)
+        b = _normal_scores(marginal(table, Axis.Z), table.zs)
+        return _moments(a, b, table.ns.astype(float)).correlation()
+    space = Space.RAW if estimator is Estimator.PEARSON_RAW else Space.LOG
+    return weighted_moments(table, space).correlation()
 
 
 def fit_copula(

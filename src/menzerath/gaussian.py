@@ -21,10 +21,8 @@ from .table import (
     JointFrequencyTable,
     MalCurve,
     Space,
-    Variable,
-    _pearson,
-    _weighted_mean_sd,
-    weighted_correlation,
+    WeightedMoments,
+    _moments,
     weighted_moments,
 )
 
@@ -76,20 +74,16 @@ class BivariateGaussianParams:
 def fit_bivariate(table: JointFrequencyTable, space: Space) -> BivariateGaussianParams:
     """Method-of-moments fit in the chosen space.
 
-    Delegates to the table's weighted moments and correlation; raises
-    :class:`DegenerateVariance` when either axis has zero spread.
+    Reads the table's weighted moments; raises :class:`DegenerateVariance`
+    when either axis has zero spread.
     """
-    if space is Space.RAW:
-        mx = weighted_moments(table, Variable.X)
-        mz = weighted_moments(table, Variable.Z)
-    else:
-        mx = weighted_moments(table, Variable.LOG_X)
-        mz = weighted_moments(table, Variable.LOG_Z)
-    if mx.sd == 0.0 or mz.sd == 0.0:
-        raise DegenerateVariance("bivariate fit needs positive sd on both axes")
-    rho = weighted_correlation(table, space)
+    return _from_moments(weighted_moments(table, space), space)
+
+
+def _from_moments(m: WeightedMoments, space: Space) -> BivariateGaussianParams:
+    rho = m.correlation()
     return BivariateGaussianParams(
-        mean_x=mx.mean, mean_z=mz.mean, sd_x=mx.sd, sd_z=mz.sd, rho=rho, space=space
+        mean_x=m.mean_x, mean_z=m.mean_z, sd_x=m.sd_x, sd_z=m.sd_z, rho=rho, space=space
     )
 
 
@@ -103,19 +97,7 @@ def fit_bivariate_pairs(pairs, space: Space) -> BivariateGaussianParams:
         if np.any(xs <= 0) or np.any(zs <= 0):
             raise LogOfNonpositive("log-space fit needs positive values")
         xs, zs = np.log(xs), np.log(zs)
-    w = np.ones(len(xs))
-    mean_x, sd_x = _weighted_mean_sd(xs, w)
-    mean_z, sd_z = _weighted_mean_sd(zs, w)
-    if sd_x == 0.0 or sd_z == 0.0:
-        raise DegenerateVariance("bivariate fit needs positive sd on both axes")
-    return BivariateGaussianParams(
-        mean_x=mean_x,
-        mean_z=mean_z,
-        sd_x=sd_x,
-        sd_z=sd_z,
-        rho=_pearson(xs, zs, w),
-        space=space,
-    )
+    return _from_moments(_moments(xs, zs, np.ones(len(xs))), space)
 
 
 def lattice_density(
@@ -127,7 +109,8 @@ def lattice_density(
     [z-1/2, z+1/2] under the raw bivariate normal, or of the log-mapped
     cell under the log-normal, making cell masses directly comparable
     to empirical relative frequencies.  With ``renormalize`` the masses
-    are rescaled to sum to 1 over the requested window.
+    are rescaled to sum to 1 over the requested window.  A gapped window
+    is evaluated on its contiguous hull and the requested cells picked.
     """
     if abs(params.rho) >= 1.0:
         raise RhoOutOfRange("density needs |rho| < 1")
@@ -137,20 +120,17 @@ def lattice_density(
         raise ValueError("x_range and z_range must be strictly ascending")
     if params.space is Space.LOG and (xs[0] - 0.5 <= 0 or zs[0] - 0.5 <= 0):
         raise LogOfNonpositive("log-space lattice needs cell edges > 0")
-    if np.all(np.diff(xs) == 1) and np.all(np.diff(zs) == 1):
-        # Contiguous window: one CDF grid over the shared cell edges.
-        x_edges = np.concatenate((xs - 0.5, [xs[-1] + 0.5]))
-        z_edges = np.concatenate((zs - 0.5, [zs[-1] + 0.5]))
-        if params.space is Space.LOG:
-            x_edges = np.log(x_edges)
-            z_edges = np.log(z_edges)
-        h = (x_edges - params.mean_x) / params.sd_x
-        k = (z_edges - params.mean_z) / params.sd_z
-        grid = phi2(h[:, None], k[None, :], params.rho)
-        masses = np.maximum(np.diff(np.diff(grid, axis=0), axis=1), 0.0)
-    else:
-        # Gapped window: integrate each unit cell on its own.
-        masses = _per_cell_masses(params, xs, zs)
+    # One CDF grid over the cell edges of the hull.
+    x_edges = np.arange(xs[0], xs[-1] + 2) - 0.5
+    z_edges = np.arange(zs[0], zs[-1] + 2) - 0.5
+    if params.space is Space.LOG:
+        x_edges = np.log(x_edges)
+        z_edges = np.log(z_edges)
+    h = (x_edges - params.mean_x) / params.sd_x
+    k = (z_edges - params.mean_z) / params.sd_z
+    grid = phi2(h[:, None], k[None, :], params.rho)
+    masses = np.maximum(np.diff(np.diff(grid, axis=0), axis=1), 0.0)
+    masses = masses[np.ix_(xs - xs[0], zs - zs[0])]
     if renormalize:
         total = masses.sum()
         if total > 0:
@@ -160,26 +140,6 @@ def lattice_density(
         for i, x in enumerate(xs)
         for j, z in enumerate(zs)
     }
-
-
-def _per_cell_masses(params, xs, zs) -> np.ndarray:
-    lo_x, hi_x = xs - 0.5, xs + 0.5
-    lo_z, hi_z = zs - 0.5, zs + 0.5
-    if params.space is Space.LOG:
-        lo_x, hi_x = np.log(lo_x), np.log(hi_x)
-        lo_z, hi_z = np.log(lo_z), np.log(hi_z)
-    lo_x = (lo_x - params.mean_x) / params.sd_x
-    hi_x = (hi_x - params.mean_x) / params.sd_x
-    lo_z = (lo_z - params.mean_z) / params.sd_z
-    hi_z = (hi_z - params.mean_z) / params.sd_z
-    r = params.rho
-    m = (
-        phi2(hi_x[:, None], hi_z[None, :], r)
-        - phi2(lo_x[:, None], hi_z[None, :], r)
-        - phi2(hi_x[:, None], lo_z[None, :], r)
-        + phi2(lo_x[:, None], lo_z[None, :], r)
-    )
-    return np.maximum(m, 0.0)
 
 
 def predicted_mal(

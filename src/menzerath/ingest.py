@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import regex
 
 from .errors import EmptyConstituent, EmptyInput, ParseError
-from .table import Domain, JointFrequencyTable, _aggregate, _checked_rows
+from .table import Domain, JointFrequencyTable, _aggregate, _checked_rows, build_table
 
 __all__ = [
     "CorpusFormat",
@@ -193,6 +193,4 @@ def parse_segmented_corpus(
         counts[(x, z)] = counts.get((x, z), 0) + 1
     if not counts:
         raise EmptyInput("no construct lines in input")
-    return JointFrequencyTable.from_pairs(
-        ((x, z, n) for (x, z), n in counts.items()), Domain.SEGMENTS
-    )
+    return build_table(((x, z, n) for (x, z), n in counts.items()), Domain.SEGMENTS)

@@ -1,9 +1,11 @@
-"""Versioned JSON comparison reports and CSV exports.
+"""Model comparison, versioned JSON reports and CSV exports.
 
-Everything emitted here is canonical and reproducible byte for byte:
-JSON uses sorted keys, shortest round-trip float formatting (Python's
-``repr``) and a trailing newline; model blocks appear in a fixed order
-inside an array so the canonical ordering survives key sorting.
+:func:`compare` fits named models through one registry and scores each
+predicted Menzerath curve against the empirical one.  Everything
+emitted here is canonical and reproducible byte for byte: JSON uses
+sorted keys, shortest round-trip float formatting (Python's ``repr``)
+and a trailing newline; model blocks appear in a fixed order inside an
+array so the canonical ordering survives key sorting.
 """
 
 import json
@@ -11,23 +13,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVariance, LogOfNonpositive, MenzerathError
+from .boundaries import boundary_copula_cells
+from .classical import (
+    AltmannFit,
+    altmann_from_loglinear,
+    eval_model,
+    fit_altmann_direct,
+    fit_linear,
+    hyperbolic_from_linear,
+    rss,
+)
+from .copula import (
+    Estimator,
+    cell_probabilities,
+    fit_copula,
+    infeasible_mass,
+    predicted_mal_from_cells,
+)
+from .errors import MenzerathError
+from .gaussian import fit_bivariate, predicted_mal
 from .table import (
     Domain,
     JointFrequencyTable,
     MalCurve,
     Space,
-    Variable,
     _run_starts,
     empirical_mal_curve,
-    weighted_correlation,
     weighted_moments,
 )
 
 __all__ = [
     "SCHEMA_VERSION",
     "MODEL_ORDER",
+    "Comparison",
     "ComparisonReport",
+    "compare",
     "dataset_summary",
     "write_report",
     "curves_csv",
@@ -75,19 +95,108 @@ class ComparisonReport:
         object.__setattr__(self, "models", ordered)
 
 
-def _moments_or_none(table, variable):
-    try:
-        m = weighted_moments(table, variable)
-        return {"mean": m.mean, "sd": m.sd}
-    except LogOfNonpositive:
-        return None
+def _closed_form(fit, space: str, derivation: str, curve: MalCurve):
+    params = {"a": fit.a, "b": fit.b}
+    if isinstance(fit, AltmannFit):
+        params["log_a"] = fit.log_a
+    block = {"space": space, "derivation": derivation, "params": params}
+    return block, eval_model(fit, curve.xs), None, None
 
 
-def _correlation_or_none(table, space):
-    try:
-        return weighted_correlation(table, space)
-    except (DegenerateVariance, LogOfNonpositive):
-        return None
+def _bivariate(table, space: Space, curve: MalCurve):
+    p = fit_bivariate(table, space)
+    block = {
+        "space": space.value,
+        "params": {"mean_x": p.mean_x, "mean_z": p.mean_z,
+                   "sd_x": p.sd_x, "sd_z": p.sd_z, "rho": p.rho},
+    }
+    if space is Space.LOG:
+        block["conditional"] = "median"
+    return block, predicted_mal(p, curve.xs), None, None
+
+
+def _copula(cells, model):
+    block = {
+        "estimator": model.estimator.value,
+        "params": {"rho": model.rho},
+        "infeasible_mass": infeasible_mass(cells),
+    }
+    return block, predicted_mal_from_cells(cells), cells, model
+
+
+def _plain_copula(table, estimator):
+    model = fit_copula(table, estimator)
+    return _copula(cell_probabilities(model), model)
+
+
+# name -> fit(table, empirical curve, estimator), returning the model's
+# block fields, predicted curve, cells (or None) and copula (or None).
+_FITS = {
+    "hyperbolic": lambda t, c, e: _closed_form(
+        hyperbolic_from_linear(fit_linear(t, Space.RAW)), "raw", "moment-closed-form", c),
+    "altmann": lambda t, c, e: _closed_form(
+        altmann_from_loglinear(fit_linear(t, Space.LOG)), "log", "moment-closed-form", c),
+    "altmann-direct": lambda t, c, e: _closed_form(
+        fit_altmann_direct(c), "log", "curve-ols", c),
+    "gaussian": lambda t, c, e: _bivariate(t, Space.RAW, c),
+    "lognormal": lambda t, c, e: _bivariate(t, Space.LOG, c),
+    "copula": lambda t, c, e: _plain_copula(t, e),
+    "copula-boundaries": lambda t, c, e: _copula(*boundary_copula_cells(t, e)),
+}
+
+
+@dataclass(frozen=True)
+class Comparison:
+    """The fitted models of one :func:`compare` run.
+
+    ``curve`` is the empirical Menzerath curve, ``blocks`` the report
+    blocks in :data:`MODEL_ORDER`; ``curves`` maps every model to its
+    predicted curve, ``cells`` and ``copulas`` map the copula models to
+    their model cells and fitted :class:`GaussianCopulaModel`.
+    """
+
+    curve: MalCurve
+    blocks: tuple
+    curves: dict
+    cells: dict
+    copulas: dict
+
+
+def compare(
+    table: JointFrequencyTable,
+    names,
+    estimator: Estimator = Estimator.PEARSON_RAW,
+    seed: int = 0,
+) -> Comparison:
+    """Fit the named models of :data:`MODEL_ORDER` and score them by RSS.
+
+    Every model predicts a Menzerath curve on the table's x support; its
+    block carries its parameters and the RSS against the empirical
+    curve.  Copula blocks also carry ``seed``, the seed of the samples
+    drawn from them.  Models are fitted in :data:`MODEL_ORDER`, once
+    each.  ``table`` must be in the segment domain.
+    """
+    names = set(names)
+    unknown = sorted(names - set(MODEL_ORDER))
+    if unknown:
+        raise ValueError(f"unknown model(s) {unknown}")
+    curve = empirical_mal_curve(table)
+    blocks, curves, cells, copulas = [], {}, {}, {}
+    for name in MODEL_ORDER:
+        if name not in names:
+            continue
+        fields, predicted, model_cells, model = _FITS[name](table, curve, estimator)
+        block = {"model": name, **fields, "rss": rss(curve, predicted)}
+        curves[name] = predicted
+        if model is not None:
+            block["seed"] = seed
+            cells[name], copulas[name] = model_cells, model
+        blocks.append(block)
+    return Comparison(curve, tuple(blocks), curves, cells, copulas)
+
+
+def _mean_sd(mean, sd):
+    return None if mean is None else {"mean": mean, "sd": sd}
 
 
 def dataset_summary(table: JointFrequencyTable) -> dict:
@@ -100,6 +209,7 @@ def dataset_summary(table: JointFrequencyTable) -> dict:
     plus the dataset alone.
     """
     sx, sz = table.support_x, table.support_z
+    raw, log = weighted_moments(table, Space.RAW), weighted_moments(table, Space.LOG)
     summary = {
         "domain": table.domain.value,
         "total": table.total,
@@ -107,15 +217,12 @@ def dataset_summary(table: JointFrequencyTable) -> dict:
         "support_x": {"min": int(sx[0]), "max": int(sx[-1]), "size": len(sx)},
         "support_z": {"min": int(sz[0]), "max": int(sz[-1]), "size": len(sz)},
         "moments": {
-            "x": _moments_or_none(table, Variable.X),
-            "z": _moments_or_none(table, Variable.Z),
-            "log_x": _moments_or_none(table, Variable.LOG_X),
-            "log_z": _moments_or_none(table, Variable.LOG_Z),
+            "x": _mean_sd(raw.mean_x, raw.sd_x),
+            "z": _mean_sd(raw.mean_z, raw.sd_z),
+            "log_x": _mean_sd(log.mean_x, log.sd_x),
+            "log_z": _mean_sd(log.mean_z, log.sd_z),
         },
-        "correlation": {
-            "raw": _correlation_or_none(table, Space.RAW),
-            "log": _correlation_or_none(table, Space.LOG),
-        },
+        "correlation": {"raw": raw.rho, "log": log.rho},
     }
     if table.domain is Domain.SEGMENTS:
         curve = empirical_mal_curve(table)

@@ -36,7 +36,6 @@ from .errors import (
 __all__ = [
     "Domain",
     "Axis",
-    "Variable",
     "Space",
     "JointFrequencyTable",
     "MarginalDistribution",
@@ -46,7 +45,6 @@ __all__ = [
     "marginal",
     "empirical_mal_curve",
     "weighted_moments",
-    "weighted_correlation",
 ]
 
 # Counts live in int64 columns and silent wraparound is forbidden, so
@@ -67,22 +65,6 @@ class Domain(enum.Enum):
 class Axis(enum.Enum):
     X = "x"
     Z = "z"
-
-
-class Variable(enum.Enum):
-    """Variable selector for weighted moments.
-
-    ``XY_PRODUCT`` is the construct length in subconstituents viewed as
-    the product x*y; by the substitution z = x*y it is identical to
-    ``Z`` and exists so that calling code can mirror the hyperbolic
-    parameter formulas literally.
-    """
-
-    X = "x"
-    Z = "z"
-    XY_PRODUCT = "xy"
-    LOG_X = "log_x"
-    LOG_Z = "log_z"
 
 
 class Space(enum.Enum):
@@ -296,14 +278,6 @@ class JointFrequencyTable:
         """Read-only ``(x, z) -> count`` view of the columns."""
         return CellView(self.xs, self.zs, self.ns)
 
-    @classmethod
-    def from_pairs(cls, pairs, domain: Domain) -> "JointFrequencyTable":
-        """Aggregate an iterable of ``(x, z, count)`` rows into a table."""
-        rows = [(int(x), int(z), _as_count(n)) for x, z, n in pairs]
-        if not rows:
-            raise EmptyInput("no pairs supplied")
-        return _aggregate(*_checked_rows(*zip(*rows), domain), domain)
-
     def sorted_cells(self) -> list[tuple[int, int, int]]:
         """Cells as (x, z, count) rows in ascending (x, z) order."""
         return list(zip(self.xs.tolist(), self.zs.tolist(), self.ns.tolist()))
@@ -311,13 +285,6 @@ class JointFrequencyTable:
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The read-only (xs, zs, counts) columns, in ascending cell order."""
         return self.xs, self.zs, self.ns
-
-    def scaled(self, factor: int) -> "JointFrequencyTable":
-        """Table with every count multiplied by a positive integer."""
-        factor = _as_count(factor)
-        if self.total * factor > MAX_COUNT:
-            raise OverflowError("total count exceeds 2**63 - 1")
-        return JointFrequencyTable(self.domain, self.xs, self.zs, self.ns * factor)
 
 
 def _aggregate(xs, zs, ns, domain: Domain) -> JointFrequencyTable:
@@ -339,7 +306,10 @@ def build_table(pairs, domain: Domain) -> JointFrequencyTable:
     Raises :class:`InvalidPair` when a pair violates the domain
     invariant and :class:`EmptyInput` when nothing is supplied.
     """
-    return JointFrequencyTable.from_pairs(pairs, domain)
+    rows = [(int(x), int(z), _as_count(n)) for x, z, n in pairs]
+    if not rows:
+        raise EmptyInput("no pairs supplied")
+    return _aggregate(*_checked_rows(*zip(*rows), domain), domain)
 
 
 @dataclass(frozen=True, eq=False)
@@ -385,19 +355,12 @@ class MarginalDistribution:
         """CDF including the zero level below the first support value."""
         return np.concatenate(([0.0], self.cdf))
 
-    def quantile(self, u: float) -> int:
-        """Right-continuous generalized inverse of the CDF.
-
-        Returns the smallest support value whose cumulative probability
-        reaches ``u``.  Defined for ``0 < u <= 1``.
-        """
-        if not 0.0 < u <= 1.0:
-            raise UOutOfRange(f"u must satisfy 0 < u <= 1, got {u}")
-        idx = int(np.searchsorted(self.cdf, u, side="left"))
-        return int(self.support[idx])
-
     def quantile_many(self, u: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`quantile` for arrays of probabilities."""
+        """Right-continuous generalized inverse of the CDF, elementwise.
+
+        Each ``u`` maps to the smallest support value whose cumulative
+        probability reaches it.  Defined for ``0 < u <= 1``.
+        """
         u = np.asarray(u, dtype=float)
         if np.any((u <= 0.0) | (u > 1.0)):
             raise UOutOfRange("all u must satisfy 0 < u <= 1")
@@ -409,10 +372,31 @@ class MarginalDistribution:
 
 @dataclass(frozen=True)
 class WeightedMoments:
-    """Population mean and standard deviation under cell-count weights."""
+    """Population means, sds and correlation of x and z under count weights.
 
-    mean: float
-    sd: float
+    In log space an axis holding a value <= 0 has no moments: its mean
+    and sd are ``None``.  ``rho`` is ``None`` when an axis has no
+    moments or zero variance; :meth:`correlation` raises there instead.
+    """
+
+    mean_x: float | None
+    mean_z: float | None
+    sd_x: float | None
+    sd_z: float | None
+    rho: float | None
+
+    def correlation(self) -> float:
+        """``rho``, or the error that leaves it undefined."""
+        for axis, mean in (("x", self.mean_x), ("z", self.mean_z)):
+            if mean is None:
+                raise LogOfNonpositive(
+                    f"log_{axis} undefined: values <= 0 present (boundary-domain zeros?)"
+                )
+        if self.rho is None:
+            raise DegenerateVariance(
+                "correlation undefined: a variable has zero variance"
+            )
+        return self.rho
 
 
 @dataclass(frozen=True, eq=False)
@@ -491,19 +475,6 @@ def empirical_mal_curve(table: JointFrequencyTable) -> MalCurve:
     )
 
 
-def _variable_values(table: JointFrequencyTable, variable: Variable) -> np.ndarray:
-    if variable is Variable.X:
-        return table.xs.astype(float)
-    if variable in (Variable.Z, Variable.XY_PRODUCT):
-        return table.zs.astype(float)
-    raw = table.xs if variable is Variable.LOG_X else table.zs
-    if np.any(raw <= 0):
-        raise LogOfNonpositive(
-            f"{variable.value} undefined: values <= 0 present (boundary-domain zeros?)"
-        )
-    return np.log(raw.astype(float))
-
-
 def _mean_var(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
     # Population convention (divide by total count), which makes the
     # closed-form regression identities exact.  Every weighted moment in
@@ -517,36 +488,37 @@ def _mean_var(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
     return mean, var
 
 
-def _weighted_mean_sd(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
-    mean, var = _mean_var(values, weights)
-    return mean, math.sqrt(max(var, 0.0))
+def _moments(a, b, weights: np.ndarray) -> WeightedMoments:
+    """Moments of two value columns; ``None`` marks a column without them."""
+    ma, va = _mean_var(a, weights) if a is not None else (None, None)
+    mb, vb = _mean_var(b, weights) if b is not None else (None, None)
+    rho = None
+    if va and vb:
+        cov = float(np.average((a - ma) * (b - mb), weights=weights))
+        rho = float(np.clip(cov / math.sqrt(va * vb), -1.0, 1.0))
+    sd_a = None if va is None else math.sqrt(va)
+    sd_b = None if vb is None else math.sqrt(vb)
+    return WeightedMoments(mean_x=ma, mean_z=mb, sd_x=sd_a, sd_z=sd_b, rho=rho)
 
 
-def weighted_moments(table: JointFrequencyTable, variable: Variable) -> WeightedMoments:
-    """Population mean and sd of one variable under cell-count weights.
-
-    Natural logarithm throughout for the LOG_* variants; values must be
-    positive there (x = z = 1 is fine, ln 1 = 0).
-    """
-    mean, sd = _weighted_mean_sd(_variable_values(table, variable), table.ns)
-    return WeightedMoments(mean=mean, sd=sd)
-
-
-def _pearson(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
-    ma, va = _mean_var(a, w)
-    mb, vb = _mean_var(b, w)
-    cov = float(np.average((a - ma) * (b - mb), weights=w))
-    if va <= 0.0 or vb <= 0.0:
-        raise DegenerateVariance("correlation undefined: a variable has zero variance")
-    return float(np.clip(cov / math.sqrt(va * vb), -1.0, 1.0))
-
-
-def weighted_correlation(table: JointFrequencyTable, space: Space = Space.RAW) -> float:
-    """Weighted Pearson correlation between x and z (or their logs)."""
+def _axis_values(column: np.ndarray, space: Space) -> np.ndarray | None:
     if space is Space.RAW:
-        a = _variable_values(table, Variable.X)
-        b = _variable_values(table, Variable.Z)
-    else:
-        a = _variable_values(table, Variable.LOG_X)
-        b = _variable_values(table, Variable.LOG_Z)
-    return _pearson(a, b, table.ns)
+        return column.astype(float)
+    if np.any(column <= 0):
+        return None
+    return np.log(column.astype(float))
+
+
+def weighted_moments(
+    table: JointFrequencyTable, space: Space = Space.RAW
+) -> WeightedMoments:
+    """Means, sds and Pearson correlation of x and z (or their natural logs).
+
+    One pass over the table: each axis's mean and variance once, then
+    the covariance once.  Population convention, cell counts as weights.
+    Log space needs positive values (x = z = 1 is fine, ln 1 = 0); see
+    :class:`WeightedMoments` for what stays undefined.
+    """
+    return _moments(
+        _axis_values(table.xs, space), _axis_values(table.zs, space), table.ns
+    )

@@ -44,11 +44,9 @@ from menzerath import (
     sample_copula,
     sample_synthetic,
     to_boundaries,
-    weighted_correlation,
     weighted_moments,
 )
 from menzerath.boundaries import boundary_copula_cells
-from menzerath.table import Variable
 
 from util import expand, ols_normal_equations, random_table
 
@@ -299,11 +297,9 @@ def test_criterion_09_increasing_curve_capability():
         ],
         Domain.SEGMENTS,
     )
-    rho = weighted_correlation(table, Space.LOG)
-    ratio = (
-        weighted_moments(table, Variable.LOG_Z).sd
-        / weighted_moments(table, Variable.LOG_X).sd
-    )
+    m = weighted_moments(table, Space.LOG)
+    rho = m.rho
+    ratio = m.sd_z / m.sd_x
     assert rho * ratio > 1.0, "construction must satisfy the slope condition"
     fit = altmann_from_loglinear(fit_linear(table, Space.LOG))
     xs = [1, 2, 3, 4]

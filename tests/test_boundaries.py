@@ -12,7 +12,7 @@ from menzerath import (
     build_table,
     cell_probabilities,
     cells_from_boundaries,
-    fit_boundary_copula,
+    fit_copula,
     from_boundaries,
     infeasible_mass,
     pairs_from_boundaries,
@@ -95,7 +95,7 @@ class TestBoundaryPipeline:
     def test_mapped_cells_preserve_mass(self):
         rng = np.random.default_rng(52)
         t = random_table(rng)
-        model = fit_boundary_copula(t)
+        model = fit_copula(to_boundaries(t))
         boundary_cells = cell_probabilities(model)
         mapped = cells_from_boundaries(boundary_cells)
         assert sum(mapped.cells.values()) == pytest.approx(
@@ -115,7 +115,7 @@ class TestBoundaryPipeline:
     def test_sampled_pairs_map_to_feasible_segments(self):
         rng = np.random.default_rng(54)
         t = random_table(rng)
-        model = fit_boundary_copula(t)
+        model = fit_copula(to_boundaries(t))
         pairs = pairs_from_boundaries(sample_copula(model, 2000, 3))
         assert np.all(pairs[:, 0] >= 1)
         assert np.all(pairs[:, 1] >= pairs[:, 0])

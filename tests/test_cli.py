@@ -85,6 +85,28 @@ class TestFit:
         result = run("fit", "--input", str(tmp_path / "nope.csv"))
         assert result.returncode == 1
 
+    @pytest.mark.parametrize("flags", [
+        ("fit", "--seed", "-1"),
+        ("fit", "--seed", "-1", "--emit", "svg"),
+        ("fit", "--emit", "svg", "--n", "-1"),
+        ("sample", "--seed", "-1"),
+    ])
+    def test_negative_seed_or_n_exit_1(self, flags, table_file, tmp_path):
+        result = run(*flags, "--input", str(table_file), "--out", str(tmp_path / "o"))
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_zero_samples_draw_an_empty_scatter(self, table_file, tmp_path):
+        out = tmp_path / "out"
+        result = run(
+            "fit", "--input", str(table_file), "--n", "0", "--emit", "svg",
+            "--out", str(out),
+        )
+        assert result.returncode == 0, result.stderr
+        assert 'id="samples"' not in (out / "figure.svg").read_text()
+
     def test_unknown_model_exit_1(self, table_file, tmp_path):
         result = run(
             "fit", "--input", str(table_file), "--models", "fancy",

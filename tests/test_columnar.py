@@ -20,7 +20,6 @@ from menzerath import (
     Domain,
     JointProbabilityTable,
     Space,
-    Variable,
     build_table,
     cell_probabilities,
     cells_from_boundaries,
@@ -31,7 +30,6 @@ from menzerath import (
     marginal,
     predicted_mal_from_cells,
     to_boundaries,
-    weighted_correlation,
     weighted_moments,
 )
 from menzerath.table import MAX_COUNT
@@ -48,6 +46,7 @@ from util import (
     ref_moments,
     ref_predicted_curve,
     ref_to_boundaries,
+    scaled,
 )
 
 segment_keys = st.tuples(st.integers(1, 6), st.integers(0, 8)).map(
@@ -117,7 +116,7 @@ def test_total_past_max_count_raises(rows, extra):
         build_table(overflow, Domain.SEGMENTS)
     table = build_table(rows, Domain.SEGMENTS)
     with pytest.raises(OverflowError):
-        table.scaled(MAX_COUNT // table.total + 1)
+        scaled(table, MAX_COUNT // table.total + 1)
 
 
 @given(tables)
@@ -146,25 +145,19 @@ def test_pmf_is_correctly_rounded_past_2_53():
 @settings(max_examples=80)
 def test_moments_and_correlation_match(table):
     cells = plain(table)
-    values = {
-        Variable.X: lambda x, z: float(x),
-        Variable.Z: lambda x, z: float(z),
-        Variable.LOG_X: lambda x, z: math.log(x),
-        Variable.LOG_Z: lambda x, z: math.log(z),
-    }
-    for variable, value in values.items():
-        m = weighted_moments(table, variable)
-        mean, sd = ref_moments(cells, value)
-        assert close(m.mean, mean) and close(m.sd, sd)
     for space, a, b in (
-        (Space.RAW, values[Variable.X], values[Variable.Z]),
-        (Space.LOG, values[Variable.LOG_X], values[Variable.LOG_Z]),
+        (Space.RAW, lambda x, z: float(x), lambda x, z: float(z)),
+        (Space.LOG, lambda x, z: math.log(x), lambda x, z: math.log(z)),
     ):
+        m = weighted_moments(table, space)
+        for mean, sd, value in ((m.mean_x, m.sd_x, a), (m.mean_z, m.sd_z, b)):
+            ref_mean, ref_sd = ref_moments(cells, value)
+            assert close(mean, ref_mean) and close(sd, ref_sd)
         if len(table.support_x) < 2 or len(table.support_z) < 2:
             with pytest.raises(DegenerateVariance):
-                weighted_correlation(table, space)
+                m.correlation()
         else:
-            rho = weighted_correlation(table, space)
+            rho = m.correlation()
             assert math.isclose(rho, ref_correlation(cells, a, b), abs_tol=1e-10)
 
 

@@ -29,7 +29,7 @@ from menzerath import (
 )
 from menzerath.copula import JointProbabilityTable
 
-from util import random_marginal_counts, random_table
+from util import random_marginal_counts, random_table, scaled
 
 
 def from_cells(cells, domain=Domain.SEGMENTS):
@@ -365,7 +365,7 @@ class TestPredictedMalFromCells:
         rng = np.random.default_rng(34)
         t = random_table(rng)
         a = predicted_mal_from_cells(cell_probabilities(fit_copula(t)))
-        b = predicted_mal_from_cells(cell_probabilities(fit_copula(t.scaled(3))))
+        b = predicted_mal_from_cells(cell_probabilities(fit_copula(scaled(t, 3))))
         np.testing.assert_allclose(a.ys, b.ys, atol=1e-12)
 
 

@@ -15,11 +15,19 @@ from menzerath.cli import main
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
 TABLE = HERE.parent / "data" / "menzerath_synthetic.csv"
+CORPUS = HERE.parent / "data" / "syllables_synthetic.txt"
 
 RUNS = {
     "fit": ["fit", "--input", str(TABLE), "--boundaries", "--emit", "json,csv,svg"],
     "sample": ["sample", "--input", str(TABLE), "--n", "1000", "--seed", "3",
                "--emit", "csv,svg"],
+    # No copula block is selected, so the figure fits a copula of its own.
+    "fit-normal-scores": ["fit", "--input", str(TABLE), "--models", "hyperbolic,gaussian",
+                          "--estimator", "normal-scores", "--emit", "json,csv,svg"],
+    "fit-corpus-log": ["fit", "--input", str(CORPUS), "--kind", "corpus",
+                       "--log-copula", "--emit", "json,csv"],
+    "sample-boundaries": ["sample", "--input", str(TABLE), "--boundaries",
+                          "--emit", "csv,svg"],
 }
 
 

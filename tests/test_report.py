@@ -7,25 +7,34 @@ import numpy as np
 import pytest
 
 from menzerath import (
+    MODEL_ORDER,
     AltmannFit,
     ComparisonReport,
     Domain,
+    Estimator,
     HyperbolicFit,
     MalCurve,
+    Space,
+    boundary_copula_cells,
     build_table,
     cell_probabilities,
     cells_csv,
+    compare,
     curves_csv,
     dataset_summary,
     empirical_mal_curve,
     eval_model,
+    fit_bivariate,
     fit_copula,
+    fit_linear,
+    hyperbolic_from_linear,
+    predicted_mal,
     predicted_mal_from_cells,
     rss,
     write_report,
 )
 
-from util import random_table
+from util import expand, random_table
 
 
 def sample_report():
@@ -147,6 +156,18 @@ class TestDatasetSummary:
         assert summary["correlation"]["log"] is None
         assert "mal_curve" not in summary
 
+    def test_log_moments_null_per_axis(self):
+        # Zeros in x only: log x has no moments, log z keeps its own.
+        t = build_table([(0, 1, 3), (1, 2, 4), (2, 5, 1)], Domain.BOUNDARIES)
+        summary = dataset_summary(t)
+        _, ez = expand(t)
+        assert summary["moments"]["log_x"] is None
+        log_z = summary["moments"]["log_z"]
+        assert log_z["mean"] == pytest.approx(np.log(ez).mean(), abs=1e-12)
+        assert log_z["sd"] == pytest.approx(np.log(ez).std(), abs=1e-12)
+        assert summary["correlation"]["log"] is None
+        assert summary["correlation"]["raw"] is not None
+
     def test_segment_table_carries_curve(self):
         rng = np.random.default_rng(63)
         t = random_table(rng)
@@ -189,3 +210,37 @@ class TestCsvExports:
         a = curves_csv(curve, {})
         b = curves_csv(curve, {})
         assert a == b
+
+
+class TestCompare:
+    def test_blocks_match_direct_fits_in_model_order(self):
+        rng = np.random.default_rng(64)
+        t = random_table(rng)
+        curve = empirical_mal_curve(t)
+        result = compare(t, ["copula-boundaries", "gaussian", "hyperbolic", "copula"],
+                         Estimator.PEARSON_RAW, seed=5)
+        names = [b["model"] for b in result.blocks]
+        assert names == ["hyperbolic", "gaussian", "copula", "copula-boundaries"]
+        assert names == [n for n in MODEL_ORDER if n in names]
+        expected = {
+            "hyperbolic": eval_model(hyperbolic_from_linear(fit_linear(t)), curve.xs),
+            "gaussian": predicted_mal(fit_bivariate(t, Space.RAW), curve.xs),
+            "copula": predicted_mal_from_cells(cell_probabilities(fit_copula(t))),
+            "copula-boundaries": predicted_mal_from_cells(boundary_copula_cells(t)[0]),
+        }
+        for block in result.blocks:
+            want = expected[block["model"]]
+            assert result.curves[block["model"]].ys.tolist() == want.ys.tolist()
+            assert block["rss"] == rss(curve, want)
+        assert sorted(result.cells) == sorted(result.copulas) == [
+            "copula", "copula-boundaries"
+        ]
+        assert result.copulas["copula"].rho == fit_copula(t).rho
+        for block in result.blocks:
+            copula = block["model"] in result.copulas
+            assert block.get("seed") == (5 if copula else None)
+
+    def test_unknown_model_rejected(self):
+        t = random_table(np.random.default_rng(65))
+        with pytest.raises(ValueError, match="fancy"):
+            compare(t, ["hyperbolic", "fancy"])

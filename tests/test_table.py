@@ -16,17 +16,14 @@ from menzerath import (
     LogOfNonpositive,
     Space,
     UOutOfRange,
-    Variable,
-    WeightedMoments,
     WrongDomain,
     build_table,
     empirical_mal_curve,
     marginal,
-    weighted_correlation,
     weighted_moments,
 )
 
-from util import expand, random_table
+from util import expand, random_table, scaled
 
 # Hypothesis strategy: valid segment-domain cell dictionaries.
 segment_cells = st.dictionaries(
@@ -113,20 +110,20 @@ class TestQuantile:
     def test_step_cases(self):
         m = marginal(from_cells({(1, 2): 1, (2, 4): 1}), Axis.X)
         assert m.cdf.tolist() == [0.5, 1.0]
-        assert m.quantile(0.3) == 1
-        assert m.quantile(0.5) == 1
-        assert m.quantile(0.51) == 2
+        assert m.quantile_many(0.3) == 1
+        assert m.quantile_many(0.5) == 1
+        assert m.quantile_many(0.51) == 2
 
     def test_u_one_gives_last_value(self):
         m = marginal(from_cells({(1, 2): 1, (2, 4): 1, (5, 9): 2}), Axis.X)
-        assert m.quantile(1.0) == 5
+        assert m.quantile_many(1.0) == 5
 
     def test_u_zero_rejected(self):
         m = marginal(from_cells({(1, 2): 1}), Axis.X)
         with pytest.raises(UOutOfRange):
-            m.quantile(0.0)
+            m.quantile_many(0.0)
         with pytest.raises(UOutOfRange):
-            m.quantile(1.0000001)
+            m.quantile_many(1.0000001)
 
     @given(segment_cells, st.floats(min_value=1e-9, max_value=1.0))
     @settings(max_examples=80)
@@ -135,7 +132,7 @@ class TestQuantile:
         expected = next(
             int(v) for v, c in zip(m.support, m.cdf) if c >= u
         )
-        assert m.quantile(u) == expected
+        assert m.quantile_many(u) == expected
 
 
 class TestMalCurve:
@@ -171,76 +168,71 @@ class TestMalCurve:
 
 class TestWeightedMoments:
     def test_symmetric_two_point(self):
-        m = weighted_moments(from_cells({(1, 1): 2, (3, 3): 2}), Variable.X)
-        assert m.mean == 2.0
-        assert m.sd == 1.0
+        m = weighted_moments(from_cells({(1, 1): 2, (3, 3): 2}), Space.RAW)
+        assert m.mean_x == 2.0
+        assert m.sd_x == 1.0
 
     def test_point_mass(self):
-        m = weighted_moments(from_cells({(2, 5): 7}), Variable.Z)
-        assert m.mean == 5.0
-        assert m.sd == 0.0
+        m = weighted_moments(from_cells({(2, 5): 7}), Space.RAW)
+        assert m.mean_z == 5.0
+        assert m.sd_z == 0.0
 
     def test_log_z_two_point(self):
         # ln 1 = 0 and ln 7 = 1.9459101490553132: mean = sd = ln(7)/2.
-        m = weighted_moments(from_cells({(1, 1): 1, (1, 7): 1}), Variable.LOG_Z)
-        assert m.mean == pytest.approx(0.9729550745276566, abs=1e-12)
-        assert m.sd == pytest.approx(0.9729550745276566, abs=1e-12)
-        assert m.mean == pytest.approx(math.log(7) / 2, abs=1e-15)
-
-    def test_xy_product_is_z(self):
-        t = from_cells({(2, 5): 3, (3, 7): 4})
-        assert weighted_moments(t, Variable.XY_PRODUCT) == weighted_moments(
-            t, Variable.Z
-        )
+        m = weighted_moments(from_cells({(1, 1): 1, (1, 7): 1}), Space.LOG)
+        assert m.mean_z == pytest.approx(0.9729550745276566, abs=1e-12)
+        assert m.sd_z == pytest.approx(0.9729550745276566, abs=1e-12)
+        assert m.mean_z == pytest.approx(math.log(7) / 2, abs=1e-15)
 
     def test_log_of_zero_rejected(self):
         t = build_table([(0, 1, 1), (2, 3, 1)], Domain.BOUNDARIES)
         with pytest.raises(LogOfNonpositive):
-            weighted_moments(t, Variable.LOG_X)
+            weighted_moments(t, Space.LOG).correlation()
 
     def test_log_of_one_allowed(self):
-        m = weighted_moments(from_cells({(1, 1): 5}), Variable.LOG_X)
-        assert m.mean == 0.0
+        m = weighted_moments(from_cells({(1, 1): 5}), Space.LOG)
+        assert m.mean_x == 0.0
 
     def test_matches_count_expansion(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
             t = random_table(rng)
             ex, ez = expand(t)
-            for variable, raw in ((Variable.X, ex), (Variable.Z, ez)):
-                m = weighted_moments(t, variable)
-                assert abs(m.mean - raw.mean()) <= 1e-12
-                assert abs(m.sd - raw.std()) <= 1e-12
-            m = weighted_moments(t, Variable.LOG_Z)
-            assert abs(m.mean - np.log(ez).mean()) <= 1e-12
-            assert abs(m.sd - np.log(ez).std()) <= 1e-12
+            m = weighted_moments(t, Space.RAW)
+            for mean, sd, raw in ((m.mean_x, m.sd_x, ex), (m.mean_z, m.sd_z, ez)):
+                assert abs(mean - raw.mean()) <= 1e-12
+                assert abs(sd - raw.std()) <= 1e-12
+            m = weighted_moments(t, Space.LOG)
+            assert abs(m.mean_z - np.log(ez).mean()) <= 1e-12
+            assert abs(m.sd_z - np.log(ez).std()) <= 1e-12
 
 
 class TestWeightedCorrelation:
     def test_perfect_line(self):
         t = from_cells({(1, 2): 1, (2, 4): 1, (3, 6): 1})
-        assert weighted_correlation(t) == 1.0
+        assert weighted_moments(t).rho == 1.0
 
     def test_point_mass_degenerate(self):
         with pytest.raises(DegenerateVariance):
-            weighted_correlation(from_cells({(2, 5): 9}))
+            weighted_moments(from_cells({(2, 5): 9})).correlation()
 
     def test_constant_x_with_huge_counts_is_degenerate(self):
         # With counts near 2**62 a weighted average of a constant can miss
         # it by an ulp; the spread of a constant must still be exactly 0.
         a = 2**62 - 1
         t = build_table([(3, 3, a), (3, 4, a - a // 3)], Domain.SEGMENTS)
-        assert weighted_moments(t, Variable.X) == WeightedMoments(mean=3.0, sd=0.0)
+        m = weighted_moments(t, Space.RAW)
+        assert (m.mean_x, m.sd_x) == (3.0, 0.0)
         with pytest.raises(DegenerateVariance):
-            weighted_correlation(t)
+            m.correlation()
 
     def test_product_table_independent(self):
         cells = {(x, z): 1 for x in (1, 2) for z in (2, 4)}
-        assert abs(weighted_correlation(from_cells(cells))) <= 1e-12
+        assert abs(weighted_moments(from_cells(cells)).rho) <= 1e-12
 
     def test_log_space(self):
         t = from_cells({(2, 5): 1, (4, 10): 1})
-        assert abs(weighted_correlation(t, Space.LOG) - 1.0) <= 1e-12
+        assert abs(weighted_moments(t, Space.LOG).rho - 1.0) <= 1e-12
 
     def test_symmetric_under_axis_swap(self):
         rng = np.random.default_rng(3)
@@ -250,8 +242,8 @@ class TestWeightedCorrelation:
                 [(z, x, n) for x, z, n in t.sorted_cells()], Domain.BOUNDARIES
             )
             assert abs(
-                weighted_correlation(t)
-                - weighted_correlation(swapped)
+                weighted_moments(t).rho
+                - weighted_moments(swapped).rho
             ) <= 1e-12
 
     def test_invariant_under_count_scaling(self):
@@ -259,14 +251,14 @@ class TestWeightedCorrelation:
         for k in (2, 7):
             t = random_table(rng)
             assert abs(
-                weighted_correlation(t) - weighted_correlation(t.scaled(k))
+                weighted_moments(t).rho - weighted_moments(scaled(t, k)).rho
             ) <= 1e-12
 
     def test_bounded_and_matches_expansion(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
             t = random_table(rng)
-            rho = weighted_correlation(t)
+            rho = weighted_moments(t).rho
             assert abs(rho) <= 1.0 + 1e-12
             ex, ez = expand(t)
             assert abs(rho - np.corrcoef(ex, ez)[0, 1]) <= 1e-10

@@ -19,6 +19,16 @@ def expand(table: JointFrequencyTable) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(xs, ns).astype(float), np.repeat(zs, ns).astype(float)
 
 
+def scaled(table: JointFrequencyTable, factor: int) -> JointFrequencyTable:
+    """Table with every count multiplied by a positive integer.
+
+    Built from Python-int rows, so a count or total past 2**63 - 1
+    raises the library's ``OverflowError``.
+    """
+    rows = [(x, z, n * factor) for x, z, n in table.sorted_cells()]
+    return build_table(rows, table.domain)
+
+
 def ols_normal_equations(x: np.ndarray, z: np.ndarray) -> tuple[float, float]:
     """(intercept, slope) of z on x by solving the normal equations."""
     a = np.array([[len(x), x.sum()], [x.sum(), (x * x).sum()]])
