@@ -11,18 +11,11 @@ Run from the repository root:  python3 demos/05_boundaries_and_reports.py
 from pathlib import Path
 
 from menzerath import (
-    ComparisonReport,
-    Layout,
-    PanelModel,
-    cells_csv,
     compare,
-    curves_csv,
-    dataset_summary,
     parse_frequency_table,
-    render_svg,
     sample_copula,
     to_boundaries,
-    write_report,
+    write_artifacts,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -41,21 +34,9 @@ for block in result.blocks:
     print(f"{block['model']:<18} rho {block['params']['rho']:.4f}, "
           f"infeasible mass {block['infeasible_mass']:.6f}, RSS {block['rss']:.6f}")
 
-# %% Assemble a report: dataset summary plus the per-model blocks.
-report = ComparisonReport(
-    dataset=dataset_summary(table), models=result.blocks, sampling={"seed": 0, "n": 100}
-)
-
-# %% Write everything; identical inputs give byte-identical files.
-OUT.mkdir(exist_ok=True)
-(OUT / "report.json").write_text(write_report(report), encoding="utf-8")
-(OUT / "curves.csv").write_text(curves_csv(result.curve, result.curves), encoding="utf-8")
-(OUT / "cells.csv").write_text(cells_csv(table, result.cells), encoding="utf-8")
+# %% Write everything: the report (dataset summary plus the per-model
+# blocks), the CSV exports and the figure with 100 sampled pairs.
+# Identical inputs give byte-identical files.
 samples = sample_copula(result.copulas["copula"], 100, seed=0)
-panels = [
-    PanelModel(b["model"], result.curves[b["model"]], b["rss"]) for b in result.blocks
-]
-(OUT / "figure.svg").write_text(
-    render_svg(table, panels, samples, Layout.COMPOSITE), encoding="utf-8"
-)
+write_artifacts(OUT, result, {"json", "csv", "svg"}, 100, samples)
 print(f"wrote {OUT}/report.json, curves.csv, cells.csv, figure.svg")

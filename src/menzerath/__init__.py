@@ -77,9 +77,10 @@ from .report import (
     compare,
     curves_csv,
     dataset_summary,
+    write_artifacts,
     write_report,
 )
-from .svgfig import Layout, PanelModel, render_svg
+from .svgfig import render_svg
 from .table import (
     Axis,
     Domain,

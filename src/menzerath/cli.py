@@ -21,16 +21,7 @@ from .boundaries import from_boundaries, pairs_from_boundaries, to_boundaries
 from .copula import Estimator, fit_copula, sample_copula
 from .errors import EmptyConstituent, EmptyInput, InvalidPair, MenzerathError, ParseError
 from .ingest import CorpusFormat, parse_frequency_table, parse_segmented_corpus
-from .report import (
-    MODEL_ORDER,
-    ComparisonReport,
-    cells_csv,
-    compare,
-    curves_csv,
-    dataset_summary,
-    write_report,
-)
-from .svgfig import Layout, PanelModel, render_svg
+from .report import MODEL_ORDER, compare, write_artifacts
 from .table import Domain
 
 __all__ = ["main"]
@@ -88,13 +79,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--estimator",
             choices=tuple(e.value for e in Estimator),
-            default=Estimator.PEARSON_RAW.value,
-            help="copula correlation estimator",
+            help="copula correlation estimator (default: pearson-raw)",
         )
         p.add_argument(
             "--log-copula",
             action="store_true",
-            help="estimate the copula correlation on logarithmized data",
+            help="estimate the copula correlation on logarithmized data "
+            "(the pearson-log estimator; conflicts with any other --estimator)",
         )
         p.add_argument(
             "--boundaries",
@@ -107,7 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--emit",
             default="json" if name == "fit" else "csv",
-            help="comma-separated artifact kinds: json,csv,svg",
+            help="comma-separated artifact kinds: "
+            + ("json,csv,svg" if name == "fit" else "csv,svg"),
         )
     parser_fit = sub.choices["fit"]
     parser_fit.add_argument(
@@ -147,13 +139,18 @@ def _check_options(args) -> str | None:
 
     Returns the message for the first invalid option value, or None.
     """
-    args.estimator = (
-        Estimator.PEARSON_LOG if args.log_copula else Estimator(args.estimator)
+    log = Estimator.PEARSON_LOG.value
+    if args.log_copula and args.estimator not in (None, log):
+        return f"--log-copula conflicts with --estimator {args.estimator}"
+    args.estimator = Estimator(
+        log if args.log_copula else args.estimator or Estimator.PEARSON_RAW.value
     )
     args.emit = {e.strip() for e in args.emit.split(",") if e.strip()}
-    unknown = args.emit - {"json", "csv", "svg"}
+    kinds = ("json", "csv", "svg") if args.command == "fit" else ("csv", "svg")
+    unknown = args.emit - set(kinds)
     if unknown:
-        return f"unknown emit kind(s): {sorted(unknown)}"
+        return (f"unknown emit kind(s): {sorted(unknown)} "
+                f"({args.command} emits {','.join(kinds)})")
     if args.seed < 0:
         return "--seed must be >= 0"
     low = 1 if args.command == "sample" else 0
@@ -186,34 +183,9 @@ def _draw(model, args):
         yield pairs_from_boundaries(part) if args.boundaries else part
 
 
-def _write_figure(out_dir: Path, table, comparison, parts) -> None:
-    panels = [
-        PanelModel(b["model"], comparison.curves[b["model"]], b["rss"])
-        for b in comparison.blocks
-    ]
-    samples = np.concatenate(parts) if parts else None
-    _write(out_dir / "figure.svg", render_svg(table, panels, samples, Layout.COMPOSITE))
-
-
-def _out_dir(args) -> Path:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
-
-
 def _cmd_fit(args, table) -> int:
     comparison = compare(table, args.models, args.estimator, args.seed)
-    report = ComparisonReport(
-        dataset=dataset_summary(table),
-        models=comparison.blocks,
-        sampling={"seed": args.seed, "n": args.n},
-    )
-    out_dir = _out_dir(args)
-    if "json" in args.emit:
-        _write(out_dir / "report.json", write_report(report))
-    if "csv" in args.emit:
-        _write(out_dir / "curves.csv", curves_csv(comparison.curve, comparison.curves))
-        _write(out_dir / "cells.csv", cells_csv(table, comparison.cells))
+    samples = None
     if "svg" in args.emit:
         # The scatter mirrors `sample`: drawn from the copula fitted for
         # the report, or from one fitted here when none was selected.
@@ -223,8 +195,9 @@ def _cmd_fit(args, table) -> int:
             parts = list(_draw(model, args))
         except MenzerathError:
             parts = []
-        _write_figure(out_dir, table, comparison, parts)
-    for block in report.models:
+        samples = np.concatenate(parts) if parts else None
+    write_artifacts(args.out, comparison, args.emit, args.n, samples)
+    for block in comparison.blocks:
         print(f"{block['model']}: rss={block['rss']!r}")
     return 0
 
@@ -238,7 +211,8 @@ def _cmd_sample(args, table) -> int:
     else:
         fit_table = to_boundaries(table) if args.boundaries else table
         model = fit_copula(fit_table, args.estimator)
-    out_dir = _out_dir(args)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     header = (
         f"# model={name} estimator={model.estimator.value} "
         f"rho={model.rho!r} n={args.n} seed={args.seed}\nx,z\n"
@@ -252,13 +226,9 @@ def _cmd_sample(args, table) -> int:
             if comparison is not None:
                 parts.append(part)
     if comparison is not None:
-        _write_figure(out_dir, table, comparison, parts)
+        write_artifacts(out_dir, comparison, {"svg"}, args.n, np.concatenate(parts))
     print(f"wrote {out_dir / 'samples.csv'} ({args.n} pairs, seed {args.seed})")
     return 0
-
-
-def _write(path: Path, text: str) -> None:
-    path.write_bytes(text.encode("utf-8"))
 
 
 def main(argv=None) -> int:

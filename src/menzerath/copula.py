@@ -266,6 +266,18 @@ def fit_copula(
     )
 
 
+def _rectangle_masses(h: np.ndarray, k: np.ndarray, rho: float) -> np.ndarray:
+    """Standard bivariate normal mass of every rectangle of an edge grid.
+
+    Entry (i, j) is the mass of ``[h[i], h[i+1]] x [k[j], k[j+1]]``, the
+    double difference of :func:`phi2` over the grid.  Cancellation can
+    make a difference slightly negative; this is the one place such
+    negative mass is clipped to 0.
+    """
+    grid = phi2(h[:, None], k[None, :], rho)
+    return np.maximum(np.diff(np.diff(grid, axis=0), axis=1), 0.0)
+
+
 def cell_probabilities(model: GaussianCopulaModel) -> JointProbabilityTable:
     """Exact model probability of every cell on the marginal support grid.
 
@@ -281,9 +293,7 @@ def cell_probabilities(model: GaussianCopulaModel) -> JointProbabilityTable:
     """
     hx = ndtri(model.marginal_x.cdf_edges())
     kz = ndtri(model.marginal_z.cdf_edges())
-    grid = phi2(hx[:, None], kz[None, :], model.rho)
-    probs = np.diff(np.diff(grid, axis=0), axis=1)
-    probs = np.maximum(probs, 0.0)
+    probs = _rectangle_masses(hx, kz, model.rho)
     sx, sz = model.marginal_x.support, model.marginal_z.support
     return JointProbabilityTable.from_columns(
         model.domain, np.repeat(sx, len(sz)), np.tile(sz, len(sx)), probs.ravel()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._normals import correlate_pairs, standard_normal_pairs
-from .copula import phi2
+from .copula import _rectangle_masses
 from .errors import DegenerateVariance, LogOfNonpositive, RhoOutOfRange
 from .table import (
     JointFrequencyTable,
@@ -128,9 +128,7 @@ def lattice_density(
         z_edges = np.log(z_edges)
     h = (x_edges - params.mean_x) / params.sd_x
     k = (z_edges - params.mean_z) / params.sd_z
-    grid = phi2(h[:, None], k[None, :], params.rho)
-    masses = np.maximum(np.diff(np.diff(grid, axis=0), axis=1), 0.0)
-    masses = masses[np.ix_(xs - xs[0], zs - zs[0])]
+    masses = _rectangle_masses(h, k, params.rho)[np.ix_(xs - xs[0], zs - zs[0])]
     if renormalize:
         total = masses.sum()
         if total > 0:

@@ -1,7 +1,8 @@
-"""Model comparison, versioned JSON reports and CSV exports.
+"""Model comparison, versioned JSON reports, CSV exports and artifact files.
 
 :func:`compare` fits named models through one registry and scores each
-predicted Menzerath curve against the empirical one.  Everything
+predicted Menzerath curve against the empirical one;
+:func:`write_artifacts` writes the files of its result.  Everything
 emitted here is canonical and reproducible byte for byte: JSON uses
 sorted keys, shortest round-trip float formatting (Python's ``repr``)
 and a trailing newline; model blocks appear in a fixed order inside an
@@ -10,6 +11,7 @@ array so the canonical ordering survives key sorting.
 
 import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from .copula import (
 )
 from .errors import MenzerathError
 from .gaussian import fit_bivariate, predicted_mal
+from .svgfig import render_svg
 from .table import (
     Domain,
     JointFrequencyTable,
@@ -52,6 +55,7 @@ __all__ = [
     "write_report",
     "curves_csv",
     "cells_csv",
+    "write_artifacts",
 ]
 
 SCHEMA_VERSION = 1
@@ -149,17 +153,26 @@ _FITS = {
 class Comparison:
     """The fitted models of one :func:`compare` run.
 
-    ``curve`` is the empirical Menzerath curve, ``blocks`` the report
-    blocks in :data:`MODEL_ORDER`; ``curves`` maps every model to its
-    predicted curve, ``cells`` and ``copulas`` map the copula models to
-    their model cells and fitted :class:`GaussianCopulaModel`.
+    ``table`` is the compared table and ``seed`` the seed of the samples
+    drawn from its copulas; ``curve`` is the empirical Menzerath curve.
+    ``blocks`` are the report blocks in :data:`MODEL_ORDER`; ``curves``
+    maps every model to its predicted curve, ``cells`` and ``copulas``
+    map the copula models to their model cells and fitted
+    :class:`GaussianCopulaModel`.
     """
 
+    table: JointFrequencyTable
+    seed: int
     curve: MalCurve
     blocks: tuple
     curves: dict
     cells: dict
     copulas: dict
+
+    @property
+    def dataset(self) -> dict:
+        """The :func:`dataset_summary` of ``table``, built from ``curve``."""
+        return _summary(self.table, self.curve)
 
 
 def compare(
@@ -192,7 +205,7 @@ def compare(
             block["seed"] = seed
             cells[name], copulas[name] = model_cells, model
         blocks.append(block)
-    return Comparison(curve, tuple(blocks), curves, cells, copulas)
+    return Comparison(table, seed, curve, tuple(blocks), curves, cells, copulas)
 
 
 def _mean_sd(mean, sd):
@@ -208,6 +221,11 @@ def dataset_summary(table: JointFrequencyTable) -> dict:
     curve, so reported RSS values can be re-derived from the report
     plus the dataset alone.
     """
+    segments = table.domain is Domain.SEGMENTS
+    return _summary(table, empirical_mal_curve(table) if segments else None)
+
+
+def _summary(table: JointFrequencyTable, curve: MalCurve | None) -> dict:
     sx, sz = table.support_x, table.support_z
     raw, log = weighted_moments(table, Space.RAW), weighted_moments(table, Space.LOG)
     summary = {
@@ -224,8 +242,7 @@ def dataset_summary(table: JointFrequencyTable) -> dict:
         },
         "correlation": {"raw": raw.rho, "log": log.rho},
     }
-    if table.domain is Domain.SEGMENTS:
-        curve = empirical_mal_curve(table)
+    if curve is not None:
         summary["mal_curve"] = [
             {"x": int(x), "y": float(y), "n": float(n)} for x, y, n in curve.points
         ]
@@ -290,3 +307,32 @@ def cells_csv(table: JointFrequencyTable, model_cells: dict) -> str:
     header = ["x", "z", "count"] + [f"p_{n}" for n in names]
     rows = zip(*(map(repr, c.tolist()) for c in columns))
     return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
+
+
+def write_artifacts(out_dir, comparison: Comparison, emit, n: int, samples=None) -> None:
+    """Write the ``emit`` kinds of artifact of ``comparison`` to ``out_dir``.
+
+    ``json`` writes ``report.json`` (recording ``n`` samples drawn with
+    the comparison's seed), ``csv`` writes ``curves.csv`` and
+    ``cells.csv``, ``svg`` writes ``figure.svg`` with ``samples``, an
+    optional array of sampled (x, z) rows, scattered over the joint
+    table.  The directory is created when missing.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    def write(name, text):
+        (out_dir / name).write_bytes(text.encode("utf-8"))
+
+    if "json" in emit:
+        report = ComparisonReport(
+            dataset=comparison.dataset,
+            models=comparison.blocks,
+            sampling={"seed": comparison.seed, "n": n},
+        )
+        write("report.json", write_report(report))
+    if "csv" in emit:
+        write("curves.csv", curves_csv(comparison.curve, comparison.curves))
+        write("cells.csv", cells_csv(comparison.table, comparison.cells))
+    if "svg" in emit:
+        write("figure.svg", render_svg(comparison, samples))

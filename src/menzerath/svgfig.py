@@ -1,40 +1,22 @@
 """Deterministic standalone SVG figures.
 
-Three panel kinds echo the usual presentation of joint-distribution
-models: a heatmap of the joint table (optionally with sampled pairs
-scattered on top), the Menzerath curve with model overlays, and a
-classical-models comparison with an RSS legend.  The composite layout
-stacks all three into a fixed 960x720 viewBox.
+:func:`render_svg` draws one figure of a model comparison in a fixed
+960x720 viewBox, with three panels that echo the usual presentation of
+joint-distribution models: a heatmap of the joint table (optionally
+with sampled pairs scattered on top), the Menzerath curve with model
+overlays, and a classical-models comparison with an RSS legend.
 
 Rendering is pure string assembly: identical inputs give byte-identical
 output, element order is fixed, and no external resource is referenced.
 """
 
-import enum
-from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .table import Domain, JointFrequencyTable, MalCurve, empirical_mal_curve
+from .table import Domain
 
-__all__ = ["Layout", "PanelModel", "render_svg"]
-
-
-class Layout(enum.Enum):
-    JOINT_PANEL = "joint"
-    CURVE_PANEL = "mal"
-    COMPARISON_PANEL = "compare"
-    COMPOSITE = "composite"
-
-
-@dataclass(frozen=True)
-class PanelModel:
-    """A named model curve, with its RSS when known."""
-
-    name: str
-    curve: MalCurve
-    rss: float | None = None
+__all__ = ["render_svg"]
 
 
 _CLASSICAL = ("hyperbolic", "altmann", "altmann-direct")
@@ -147,14 +129,14 @@ def _joint_panel(table, samples, ox, oy, width, height):
     return out
 
 
-def _curve_paths(models, empirical, scale_x, scale_y):
+def _curve_paths(curves, empirical, scale_x, scale_y):
     paths = []
-    for pm in models:
+    for name, curve in curves:
         pts = " ".join(
             f"{_f(scale_x(float(x)))},{_f(scale_y(float(y)))}"
-            for x, y in zip(pm.curve.xs, pm.curve.ys)
+            for x, y in zip(curve.xs, curve.ys)
         )
-        color = _COLORS.get(pm.name, "#444444")
+        color = _COLORS.get(name, "#444444")
         paths.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
@@ -174,11 +156,13 @@ def _curve_paths(models, empirical, scale_x, scale_y):
     return paths
 
 
-def _curve_panel(panel_id, title, empirical, models, legend, ox, oy, width, height):
+def _curve_panel(panel_id, title, comparison, blocks, legend, ox, oy, width, height):
     out = [f'<g id="{panel_id}" transform="translate({_f(ox)} {_f(oy)})">']
     x0, y0 = _MARGIN + 8, 22
     w, h = width - x0 - 14, height - y0 - 46
-    all_ys = list(empirical.ys) + [y for pm in models for y in pm.curve.ys]
+    empirical = comparison.curve
+    curves = [(b["model"], comparison.curves[b["model"]]) for b in blocks]
+    all_ys = list(empirical.ys) + [y for _, curve in curves for y in curve.ys]
     lo_y, hi_y = min(all_ys), max(all_ys)
     pad = 0.05 * (hi_y - lo_y if hi_y > lo_y else 1.0)
     lo_y, hi_y = lo_y - pad, hi_y + pad
@@ -189,12 +173,12 @@ def _curve_panel(panel_id, title, empirical, models, legend, ox, oy, width, heig
         f'<text x="{_f(x0)}" y="{_f(y0 - 8)}" font-size="12" '
         f'fill="#333333">{escape(title)}</text>'
     )
-    out.extend(_curve_paths(models, empirical, sx, sy))
-    if legend and models:
+    out.extend(_curve_paths(curves, empirical, sx, sy))
+    if legend and blocks:
         items = []
-        for i, pm in enumerate(models):
-            label = pm.name if pm.rss is None else f"{pm.name} RSS={pm.rss:.4g}"
-            color = _COLORS.get(pm.name, "#444444")
+        for i, block in enumerate(blocks):
+            label = f"{block['model']} RSS={block['rss']:.4g}"
+            color = _COLORS.get(block["model"], "#444444")
             ly = y0 + 14 + 14 * i
             items.append(
                 f'<rect x="{_f(x0 + w - 150)}" y="{_f(ly - 8)}" width="10" '
@@ -209,50 +193,26 @@ def _curve_panel(panel_id, title, empirical, models, legend, ox, oy, width, heig
     return out
 
 
-def render_svg(
-    table: JointFrequencyTable,
-    models=(),
-    samples=None,
-    layout: Layout = Layout.COMPOSITE,
-) -> str:
-    """Render the requested panel(s) as standalone SVG text.
+def render_svg(comparison, samples=None) -> str:
+    """Render the figure of a :class:`~menzerath.report.Comparison`.
 
-    ``models`` is a sequence of :class:`PanelModel`; the comparison
-    panel shows only the classical subset (with RSS legend), the curve
-    panel shows every model over the empirical curve.  ``samples`` is
-    an optional (n, 2) array scattered over the joint heatmap.
+    The joint panel draws the comparison's table, with ``samples``, an
+    optional (n, 2) array, scattered on top; the curve panel draws every
+    model's predicted curve over the empirical one, and the comparison
+    panel the classical models only, with their RSS in a legend.
     """
-    models = list(models)
-    if layout is Layout.JOINT_PANEL:
-        width, height = 960, 400
-        body = _joint_panel(table, samples, 0, 0, width, height)
-    else:
-        empirical = empirical_mal_curve(table)
-        classical = [pm for pm in models if pm.name in _CLASSICAL]
-        if layout is Layout.CURVE_PANEL:
-            width, height = 480, 360
-            body = _curve_panel(
-                "mal", "Menzerath curve", empirical, models, False, 0, 0, width, height
-            )
-        elif layout is Layout.COMPARISON_PANEL:
-            width, height = 480, 360
-            body = _curve_panel(
-                "compare", "classical models", empirical, classical, True,
-                0, 0, width, height,
-            )
-        else:
-            width, height = 960, 720
-            body = _joint_panel(table, samples, 0, 0, 960, 400)
-            body += _curve_panel(
-                "mal", "Menzerath curve", empirical, models, False, 0, 400, 480, 320
-            )
-            body += _curve_panel(
-                "compare", "classical models", empirical, classical, True,
-                480, 400, 480, 320,
-            )
+    blocks = comparison.blocks
+    classical = [b for b in blocks if b["model"] in _CLASSICAL]
+    body = _joint_panel(comparison.table, samples, 0, 0, 960, 400)
+    body += _curve_panel(
+        "mal", "Menzerath curve", comparison, blocks, False, 0, 400, 480, 320
+    )
+    body += _curve_panel(
+        "compare", "classical models", comparison, classical, True, 480, 400, 480, 320
+    )
     head = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
-        f'width="{width}" height="{height}" font-family="sans-serif">\n'
+        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 960 720" '
+        'width="960" height="720" font-family="sans-serif">\n'
     )
     return head + "\n".join(body) + "\n</svg>\n"

@@ -138,6 +138,59 @@ class TestFit:
         payload = json.loads((out / "report.json").read_text())
         assert payload["models"][0]["estimator"] == "pearson-log"
 
+    @pytest.mark.parametrize("command", ["fit", "sample"])
+    def test_log_copula_conflicting_estimator_exit_1(self, command, table_file, tmp_path):
+        result = run(
+            command, "--input", str(table_file), "--log-copula",
+            "--estimator", "normal-scores", "--out", str(tmp_path / "o"),
+        )
+        assert result.returncode == 1
+        assert "--log-copula conflicts with --estimator normal-scores" in result.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_log_copula_with_its_own_estimator(self, table_file, tmp_path):
+        out = tmp_path / "out"
+        result = run(
+            "fit", "--input", str(table_file), "--models", "copula",
+            "--log-copula", "--estimator", "pearson-log", "--out", str(out),
+        )
+        assert result.returncode == 0, result.stderr
+        payload = json.loads((out / "report.json").read_text())
+        assert payload["models"][0]["estimator"] == "pearson-log"
+
+    def test_boundaries_log_copula_exit_2(self, tmp_path):
+        # Every one-constituent construct has x' = 0 in the boundary
+        # table, where the log correlation is undefined.
+        result = run(
+            "fit", "--input", str(DATA / "menzerath_synthetic.csv"), "--boundaries",
+            "--log-copula", "--out", str(tmp_path / "o"),
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("fit error: log_x undefined")
+        assert not (tmp_path / "o").exists()
+
+    def test_empirical_curve_built_once(self, tmp_path, monkeypatch):
+        import menzerath.cli
+        import menzerath.table
+
+        original = menzerath.table.empirical_mal_curve
+        calls = []
+
+        def counted(table):
+            calls.append(table)
+            return original(table)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("menzerath.") and \
+                    getattr(module, "empirical_mal_curve", None) is original:
+                monkeypatch.setattr(module, "empirical_mal_curve", counted)
+        code = menzerath.cli.main([
+            "fit", "--input", str(DATA / "menzerath_synthetic.csv"), "--boundaries",
+            "--emit", "json,csv,svg", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 0
+        assert len(calls) == 1
+
     def test_corpus_input(self, tmp_path):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("ab-cde\nab\nabc-de-fg\nab-cd\nabcd\n", encoding="utf-8")
@@ -223,6 +276,15 @@ class TestSample:
         )
         assert result.returncode == 0, result.stderr
         assert (out / "figure.svg").exists()
+
+    def test_json_rejected_exit_1(self, table_file, tmp_path):
+        result = run(
+            "sample", "--input", str(table_file), "--emit", "csv,json",
+            "--out", str(tmp_path / "o"),
+        )
+        assert result.returncode == 1
+        assert "unknown emit kind(s): ['json']" in result.stderr
+        assert not (tmp_path / "o").exists()
 
 
 class TestSampleChunks:
