@@ -111,21 +111,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_table(args):
-    # newline="" keeps a lone "\r" inside its line, as the parsers do.
+    # newline="" keeps a lone "\r" inside its line, as the parsers do;
+    # they read the stream block by block.
     with open(args.input, encoding="utf-8", newline="") as stream:
-        text = stream.read()
-    if args.kind == "corpus":
-        fmt = CorpusFormat(
-            constituent_delimiter=args.constituent_delimiter,
-            subconstituent_delimiter=(
-                args.subconstituent_delimiter
-                if args.subconstituent_mode == "delimited"
-                else None
-            ),
-        )
-        table = parse_segmented_corpus(text, fmt)
-    else:
-        table = parse_frequency_table(text)
+        if args.kind == "corpus":
+            fmt = CorpusFormat(
+                constituent_delimiter=args.constituent_delimiter,
+                subconstituent_delimiter=(
+                    args.subconstituent_delimiter
+                    if args.subconstituent_mode == "delimited"
+                    else None
+                ),
+            )
+            table = parse_segmented_corpus(stream, fmt)
+        else:
+            table = parse_frequency_table(stream)
     # The comparison pipeline lives in segment space; boundary-domain
     # inputs are converted up front (the --boundaries flag then controls
     # the fitting space of the copula, not the input representation).
@@ -193,7 +193,9 @@ def _cmd_fit(args, table) -> int:
         try:
             model = comparison.copulas.get(name) or fit_copula(table, args.estimator)
             parts = list(_draw(model, args))
-        except MenzerathError:
+        except MenzerathError as exc:
+            # The report stands without the scatter; say why it is missing.
+            print(f"warning: figure.svg has no sample scatter: {exc}", file=sys.stderr)
             parts = []
         samples = np.concatenate(parts) if parts else None
     write_artifacts(args.out, comparison, args.emit, args.n, samples)

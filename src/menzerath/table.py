@@ -387,10 +387,15 @@ class WeightedMoments:
 
     def correlation(self) -> float:
         """``rho``, or the error that leaves it undefined."""
-        for axis, mean in (("x", self.mean_x), ("z", self.mean_z)):
+        # Only boundary counts reach 0 (segment lengths are >= 1).
+        for axis, mean, zero in (
+            ("x", self.mean_x, "x' = x - 1 of a one-constituent construct"),
+            ("z", self.mean_z, "z' = z - x of a construct with z = x"),
+        ):
             if mean is None:
                 raise LogOfNonpositive(
-                    f"log_{axis} undefined: values <= 0 present (boundary-domain zeros?)"
+                    f"log_{axis} undefined: the boundary counts hold the zero {zero}; "
+                    "use the rank-based --estimator normal-scores, not --log-copula"
                 )
         if self.rho is None:
             raise DegenerateVariance(

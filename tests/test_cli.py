@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, artifacts, determinism."""
 
+import io
 import json
 import subprocess
 import sys
@@ -169,6 +170,32 @@ class TestFit:
         assert result.stderr.startswith("fit error: log_x undefined")
         assert not (tmp_path / "o").exists()
 
+    def test_boundaries_log_copula_names_cause_and_way_out(self, tmp_path):
+        result = run(
+            "fit", "--input", str(DATA / "menzerath_synthetic.csv"), "--boundaries",
+            "--log-copula", "--out", str(tmp_path / "o"),
+        )
+        assert result.returncode == 2
+        assert "x' = x - 1 of a one-constituent construct" in result.stderr
+        assert "--estimator normal-scores" in result.stderr
+
+    def test_missing_scatter_is_reported(self, tmp_path):
+        # z is constant, so no copula can be fitted for the scatter.
+        path = tmp_path / "t.csv"
+        path.write_text("1,3,5\n2,3,4\n3,3,2\n", encoding="utf-8")
+        out = tmp_path / "out"
+        result = run(
+            "fit", "--input", str(path), "--models", "altmann-direct",
+            "--emit", "svg,json", "--n", "50", "--out", str(out),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == (
+            "warning: figure.svg has no sample scatter: "
+            "correlation undefined: a variable has zero variance\n"
+        )
+        assert 'id="samples"' not in (out / "figure.svg").read_text()
+        assert (out / "report.json").exists()
+
     def test_empirical_curve_built_once(self, tmp_path, monkeypatch):
         import menzerath.cli
         import menzerath.table
@@ -225,6 +252,45 @@ class TestFit:
         assert result.returncode == 0, result.stderr
         payload = json.loads((out / "report.json").read_text())
         assert payload["dataset"]["domain"] == "segments"
+
+
+class TestStreamedInput:
+    """The CLI hands its open input to the parsers, which read blocks."""
+
+    @pytest.mark.parametrize("kind, text", [
+        ("table", "# t\r\n" + TABLE.replace("\n", "\r\n")),
+        ("corpus", "# c\nab-c\u0301de\r\nab\nabc-de-fg\nab-cd\nabcd\n" * 5),
+    ], ids=["table", "corpus"])
+    def test_input_read_in_blocks(self, kind, text, tmp_path, monkeypatch, capsys):
+        from menzerath import cli, ingest
+
+        path = tmp_path / "input.txt"
+        path.write_bytes(text.encode("utf-8"))
+        argv = ["fit", "--input", str(path), "--kind", kind, "--models", "hyperbolic"]
+        assert cli.main([*argv, "--out", str(tmp_path / "whole")]) == 0
+        whole = capsys.readouterr().out
+        sizes = []
+
+        class Guarded(io.TextIOWrapper):
+            def read(self, size=-1):
+                assert size is not None and size >= 0, "read() of the whole file"
+                sizes.append(size)
+                return super().read(size)
+
+            def readlines(self, hint=-1):
+                raise AssertionError("readlines() of the whole file")
+
+        def guarded_open(file, **kwargs):
+            return Guarded(open(file, "rb"), **kwargs)
+
+        monkeypatch.setattr(cli, "open", guarded_open, raising=False)
+        monkeypatch.setattr(ingest, "_BLOCK", 16)
+        out = tmp_path / "blocks"
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == whole
+        assert (out / "report.json").read_bytes() == \
+            (tmp_path / "whole" / "report.json").read_bytes()
+        assert len(sizes) > 1 and set(sizes) == {16}
 
 
 class TestSample:

@@ -3,11 +3,13 @@
 import io
 import os
 import tempfile
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from menzerath import ingest
 from menzerath import (
     CorpusFormat,
     Domain,
@@ -20,6 +22,7 @@ from menzerath import (
     parse_segmented_corpus,
     write_frequency_table,
 )
+from util import ref_corpus, ref_frequency_table
 
 table_strategy = st.builds(
     lambda cells, boundaries: build_table(
@@ -181,6 +184,10 @@ class TestCorpusFormat:
             CorpusFormat(constituent_delimiter="--")
 
 
+def _as_table(cells):
+    return build_table([(x, z, n) for (x, z), n in cells.items()], Domain.SEGMENTS)
+
+
 def _outcome(parse, source):
     try:
         table = parse(source)
@@ -245,3 +252,125 @@ class TestCarriers:
     def test_corpus_carriers_agree(self, text):
         outcomes = [_outcome(parse_segmented_corpus, c) for c in _carriers(text)]
         assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+# One code point of every grapheme cluster break class (CR and LF come
+# as line ends), a conjunct consonant and its virama (GB9c), the
+# delimiter, the comment prefix and two kinds of space.
+_CLUSTER_ALPHABET = [
+    "a",  # Other: a plain code point
+    "\u0301",  # Extend
+    "\u200d",  # ZWJ
+    "\u0903",  # SpacingMark
+    "\u0600",  # Prepend
+    "\t",  # Control
+    "\u1100", "\u1161", "\u11a8", "\uac00", "\uac01",  # L, V, T, LV, LVT
+    "\U0001f1e6",  # Regional_Indicator
+    "\U0001f600",  # Extended_Pictographic
+    "\u0915",  # InCB=Consonant
+    "\u094d",  # InCB=Linker
+    "-", "#", " ", "\u3000", "\r", "\r\n", "\n",
+]
+# Lines made of these alone can be counted without \X, so half of the
+# texts are drawn from them.
+_PLAIN_ALPHABET = ["a", "b", "\u0301", "\u200d", "\u0903", "\u094d", "-", " ",
+                   "\u3000", "\n"]
+_cluster_texts = st.one_of(
+    st.lists(st.sampled_from(alphabet), max_size=40).map("".join)
+    for alphabet in (_CLUSTER_ALPHABET, _PLAIN_ALPHABET)
+)
+
+
+def _line_carriers(text):
+    """The text as a string, a ``newline=""`` stream, an iterable of lines
+    and an iterable whose one item holds every line."""
+    return (text, io.StringIO(text, newline=""),
+            iter(text.splitlines(keepends=True)), [text])
+
+
+class TestBlocks:
+    """Block-streamed ingest against line-by-line references.
+
+    The block constant is patched small, so lines and ``\\r\\n`` pairs
+    cross block edges.
+    """
+
+    @given(_cluster_texts, st.integers(1, 12))
+    @example("a-\u0301b\n\u0301a\na \u0301-b\n", 1 << 16)  # extenders opening units
+    @example("\u0915\u094d\u0937-a\r\nab-\u1100\u1161\r\r\nx\r", 5)
+    @example("a-b\na--b\n", 1 << 16)  # an empty unit after a plain line
+    @settings(max_examples=300, deadline=None)
+    def test_corpus_matches_cluster_reference(self, text, block):
+        with mock.patch.object(ingest, "_BLOCK", block):
+            for source, reference in zip(_line_carriers(text), _line_carriers(text)):
+                got = _outcome(parse_segmented_corpus, source)
+                want = _outcome(lambda s: _as_table(ref_corpus(s)), reference)
+                assert got == want, (text, block)
+
+    @pytest.mark.parametrize("block", [1, 3, 1 << 16])
+    def test_conjunct_is_one_cluster(self, block):
+        # GB9c: consonant + virama + consonant is one cluster, although
+        # the virama alone is an extender.
+        with mock.patch.object(ingest, "_BLOCK", block):
+            assert parse_segmented_corpus("\u0915\u094d\u0937-a").cells == {(2, 2): 1}
+
+    def test_space_before_an_extender_is_a_cluster(self):
+        # Stripping comes before extenders are set aside: " \u0301" is a
+        # cluster of its own.
+        assert parse_segmented_corpus("a \u0301\n").cells == {(1, 2): 1}
+
+    def test_item_with_a_newline_stays_one_line(self):
+        lines = ["ab-c\n", "d\ne-f\r\n", "g"]
+        assert dict(parse_segmented_corpus(lines).cells) == ref_corpus(lines)
+
+    @pytest.mark.parametrize("items", [
+        ["1,1,1", "1,2,3\n2,3,4", "x"],
+        ["x,z,count\n", "1,1,1\n", "2,3,4\n2,3,4\n", "1,1,1"],
+        ["1,1,1\n2,2,2"],
+    ])
+    def test_table_item_with_a_newline_stays_one_line(self, items):
+        got = _outcome(parse_frequency_table, items)
+        assert got == _outcome(ref_frequency_table, items)
+        assert got[0] is ParseError
+
+    @given(_texts(st.one_of(
+        _table_lines,
+        st.tuples(st.integers(1, 4), st.integers(0, 4), st.integers(1, 9),
+                  st.integers(0, 3)).map(
+            lambda t: f"{t[0]:0{t[3] + 1}d},{t[0] + t[1]},{t[2]}"
+        ),
+        st.sampled_from([
+            "x,z,count", "#domain=boundaries", "0,0,1", "3,2,1", "1,2,0", "1,2",
+            "1,2,-3", "1,2,+3", "1,2,1_0", "1,2,\u0663", " 1 , 2 , 3 ",
+            "1,2,1234567890123456789", "1,2,9999999999999999999",
+            "1,1,000000000000000001",
+        ]),
+    )), st.integers(1, 24))
+    @settings(max_examples=300, deadline=None)
+    def test_table_matches_row_reference(self, text, block):
+        with mock.patch.object(ingest, "_BLOCK", block):
+            for source, reference in zip(_line_carriers(text), _line_carriers(text)):
+                got = _outcome(parse_frequency_table, source)
+                want = _outcome(ref_frequency_table, reference)
+                assert got == want, (text, block)
+
+    @pytest.mark.parametrize("bad, error", [
+        ("1,2", ParseError),      # malformed
+        ("3,2,1", InvalidPair),   # z < x
+        ("1,2,0", InvalidPair),   # zero count
+    ])
+    def test_bad_row_past_the_first_block_keeps_its_line(self, bad, error):
+        rows = [f"{x},{x + 1},{x}" for x in range(1, 60)]
+        rows[41] = bad
+        text = "# header\nx,z,count\n" + "\n".join(rows)
+        with mock.patch.object(ingest, "_BLOCK", 64):
+            with pytest.raises(error, match="line 44"):
+                parse_frequency_table(io.StringIO(text, newline=""))
+        with pytest.raises(error, match="line 44"):
+            ref_frequency_table(text)
+
+    def test_strict_body_without_final_newline_and_crlf(self):
+        text = "x,z,count\r\n007,0010,3\r\n1,1,999999999999999999\r\n1,1,1"
+        with mock.patch.object(ingest, "_BLOCK", 8):
+            t = parse_frequency_table(io.StringIO(text, newline=""))
+        assert t.cells == {(7, 10): 3, (1, 1): 10**18}

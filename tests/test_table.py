@@ -189,6 +189,15 @@ class TestWeightedMoments:
         with pytest.raises(LogOfNonpositive):
             weighted_moments(t, Space.LOG).correlation()
 
+    @pytest.mark.parametrize("rows, cause", [
+        ([(0, 1, 1), (2, 3, 1)], "log_x undefined: the boundary counts hold the zero x'"),
+        ([(1, 0, 1), (2, 3, 1)], "log_z undefined: the boundary counts hold the zero z'"),
+    ])
+    def test_log_of_zero_names_its_boundary_cause(self, rows, cause):
+        t = build_table(rows, Domain.BOUNDARIES)
+        with pytest.raises(LogOfNonpositive, match=cause):
+            weighted_moments(t, Space.LOG).correlation()
+
     def test_log_of_one_allowed(self):
         m = weighted_moments(from_cells({(1, 1): 5}), Space.LOG)
         assert m.mean_x == 0.0

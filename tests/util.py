@@ -6,11 +6,21 @@ statistics recomputed with plain numpy, regressions solved through the
 normal equations, and integrals evaluated by adaptive quadrature.
 """
 
+import io
 import math
 
 import numpy as np
+import regex
 
-from menzerath import Domain, JointFrequencyTable, build_table
+from menzerath import (
+    Domain,
+    EmptyConstituent,
+    EmptyInput,
+    JointFrequencyTable,
+    ParseError,
+    build_table,
+)
+from menzerath.table import _aggregate, _checked_rows
 
 
 def expand(table: JointFrequencyTable) -> tuple[np.ndarray, np.ndarray]:
@@ -159,3 +169,82 @@ def ref_predicted_curve(probabilities: dict) -> list[tuple[int, float, float]]:
     return [
         (x, z_sum[x] / (x * p_sum[x]), p_sum[x]) for x in sorted(p_sum) if p_sum[x] > 0.0
     ]
+
+
+# Line-by-line references for the ingest carriers: the whole input is
+# split into lines at once, the way the package read it before it
+# streamed blocks, and every line is parsed on its own.
+
+
+def ref_lines(source) -> list[str]:
+    """Lines of a string, text stream or iterable, less one ``\\r`` each."""
+    if isinstance(source, str):
+        lines = source.split("\n")
+    elif isinstance(source, io.TextIOBase):
+        lines = source.read().split("\n")
+    else:
+        lines = [item[:-1] if item.endswith("\n") else item for item in source]
+    return [line[:-1] if line.endswith("\r") else line for line in lines]
+
+
+def ref_corpus(source, delimiter: str = "-") -> dict:
+    """``(x, z) -> count`` of a corpus, ``\\X`` clusters constituent by constituent."""
+    cells: dict[tuple[int, int], int] = {}
+    for number, line in enumerate(ref_lines(source), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        constituents = stripped.split(delimiter)
+        if "" in constituents:
+            raise EmptyConstituent(number, line)
+        z = sum(len(regex.findall(r"\X", c)) for c in constituents)
+        cells[(len(constituents), z)] = cells.get((len(constituents), z), 0) + 1
+    if not cells:
+        raise EmptyInput("no construct lines in input")
+    return cells
+
+
+def ref_frequency_table(source) -> JointFrequencyTable:
+    """Table rows read one line at a time with ``int()``, checked at the end.
+
+    The rows before a malformed line are checked first, so the earliest
+    bad line wins, with the messages of the package's row check.
+    """
+    domain = Domain.SEGMENTS
+    xs, zs, ns, numbers = [], [], [], []
+    failure = None
+    for number, line in enumerate(ref_lines(source), start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
+            directive = stripped.replace(" ", "").lower()
+            if directive in ("#domain=segments", "#domain=boundaries"):
+                if numbers:
+                    failure = ParseError(
+                        number, line, "domain directive must precede data"
+                    )
+                    break
+                domain = Domain(directive.split("=")[1])
+            continue
+        fields = [f.strip() for f in stripped.split("\t" if "\t" in stripped else ",")]
+        if not numbers and [f.lower() for f in fields] == ["x", "z", "count"]:
+            continue
+        if len(fields) != 3:
+            failure = ParseError(number, line, f"expected 3 fields, got {len(fields)}")
+            break
+        try:
+            x, z, n = map(int, fields)
+        except ValueError:
+            failure = ParseError(number, line, "fields must be integers")
+            break
+        xs.append(x)
+        zs.append(z)
+        ns.append(n)
+        numbers.append(number)
+    rows = _checked_rows(xs, zs, ns, domain, lines=numbers)
+    if failure is not None:
+        raise failure
+    if not numbers:
+        raise EmptyInput("no data rows in input")
+    return _aggregate(*rows, domain)
