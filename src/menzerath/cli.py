@@ -115,15 +115,7 @@ def _load_table(args):
     # they read the stream block by block.
     with open(args.input, encoding="utf-8", newline="") as stream:
         if args.kind == "corpus":
-            fmt = CorpusFormat(
-                constituent_delimiter=args.constituent_delimiter,
-                subconstituent_delimiter=(
-                    args.subconstituent_delimiter
-                    if args.subconstituent_mode == "delimited"
-                    else None
-                ),
-            )
-            table = parse_segmented_corpus(stream, fmt)
+            table = parse_segmented_corpus(stream, args.format)
         else:
             table = parse_frequency_table(stream)
     # The comparison pipeline lives in segment space; boundary-domain
@@ -135,7 +127,7 @@ def _load_table(args):
 
 
 def _check_options(args) -> str | None:
-    """Parse --emit, --estimator and --models in place.
+    """Parse --emit, --estimator, --models and the corpus format in place.
 
     Returns the message for the first invalid option value, or None.
     """
@@ -153,6 +145,18 @@ def _check_options(args) -> str | None:
                 f"({args.command} emits {','.join(kinds)})")
     if args.seed < 0:
         return "--seed must be >= 0"
+    if args.kind == "corpus":
+        try:
+            args.format = CorpusFormat(
+                constituent_delimiter=args.constituent_delimiter,
+                subconstituent_delimiter=(
+                    args.subconstituent_delimiter
+                    if args.subconstituent_mode == "delimited"
+                    else None
+                ),
+            )
+        except ValueError as exc:
+            return str(exc)
     low = 1 if args.command == "sample" else 0
     if args.n < low:
         return f"{args.command} needs --n >= {low}"

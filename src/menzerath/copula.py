@@ -90,6 +90,14 @@ def phi2(h, k, rho):
     -------
     float or numpy.ndarray
         Rectangle probability, clipped into [0, 1].
+
+    Notes
+    -----
+    Each entry is claimed by the first case that applies, in a fixed
+    order: an infinite limit, ``rho`` of +-1 or 0, ``h = k = 0``,
+    ``h = 0``, ``k = 0``, then the general T-function sum.  Each case is
+    computed only on the entries it claims, so a case that claims none
+    costs nothing.
     """
     h_in, k_in, r_in = np.broadcast_arrays(
         np.asarray(h, dtype=float), np.asarray(k, dtype=float), np.asarray(rho, dtype=float)
@@ -103,34 +111,39 @@ def phi2(h, k, rho):
     out = np.empty(hv.shape)
     done = np.zeros(hv.shape, dtype=bool)
 
-    def claim(mask, values):
+    def claim(mask, branch):
+        # The branch sees only the entries it claims.
         take = mask & ~done
         if np.any(take):
-            out[take] = np.asarray(np.broadcast_to(values, hv.shape), dtype=float)[take]
+            out[take] = branch(hv[take], kv[take], rv[take])
             done[take] = True
 
-    claim(np.isneginf(hv) | np.isneginf(kv), 0.0)
-    claim(np.isposinf(hv), ndtr(kv))
-    claim(np.isposinf(kv), ndtr(hv))
-    claim(rv == 1.0, ndtr(np.minimum(hv, kv)))
-    claim(rv == -1.0, np.maximum(ndtr(hv) + ndtr(kv) - 1.0, 0.0))
-    claim(rv == 0.0, ndtr(hv) * ndtr(kv))
+    def root(r):
+        # sqrt(1 - r^2), as (1 - r)(1 + r) for precision near |r| = 1.
+        return np.sqrt((1.0 - r) * (1.0 + r))
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.sqrt((1.0 - rv) * (1.0 + rv))
-        claim((hv == 0.0) & (kv == 0.0), 0.25 + np.arcsin(rv) / (2.0 * math.pi))
-        claim((hv == 0.0), 0.5 * ndtr(kv) - owens_t(kv, -rv / s))
-        claim((kv == 0.0), 0.5 * ndtr(hv) - owens_t(hv, -rv / s))
-        a_h = (kv / hv - rv) / s
-        a_k = (hv / kv - rv) / s
-        beta = np.where(hv * kv < 0.0, 0.5, 0.0)
-        general = (
-            0.5 * (ndtr(hv) + ndtr(kv))
-            - owens_t(hv, a_h)
-            - owens_t(kv, a_k)
+    def general(h, k, r):
+        s = root(r)
+        beta = np.where(h * k < 0.0, 0.5, 0.0)
+        return (
+            0.5 * (ndtr(h) + ndtr(k))
+            - owens_t(h, (k / h - r) / s)
+            - owens_t(k, (h / k - r) / s)
             - beta
         )
-    claim(np.ones_like(done), general)
+
+    claim(np.isneginf(hv) | np.isneginf(kv), lambda h, k, r: 0.0)
+    claim(np.isposinf(hv), lambda h, k, r: ndtr(k))
+    claim(np.isposinf(kv), lambda h, k, r: ndtr(h))
+    claim(rv == 1.0, lambda h, k, r: ndtr(np.minimum(h, k)))
+    claim(rv == -1.0, lambda h, k, r: np.maximum(ndtr(h) + ndtr(k) - 1.0, 0.0))
+    claim(rv == 0.0, lambda h, k, r: ndtr(h) * ndtr(k))
+    # From here on |rho| < 1, so root(r) > 0, and h, k are finite or NaN.
+    zero_h, zero_k = hv == 0.0, kv == 0.0
+    claim(zero_h & zero_k, lambda h, k, r: 0.25 + np.arcsin(r) / (2.0 * math.pi))
+    claim(zero_h, lambda h, k, r: 0.5 * ndtr(k) - owens_t(k, -r / root(r)))
+    claim(zero_k, lambda h, k, r: 0.5 * ndtr(h) - owens_t(h, -r / root(r)))
+    claim(~done, general)
 
     out = np.clip(out, 0.0, 1.0)
     if scalar:

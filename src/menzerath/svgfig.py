@@ -31,6 +31,9 @@ _COLORS = {
     "copula-boundaries": "#a6761d",
 }
 _MARGIN = 46
+# Rows per %-format call: the transient Python floats and strings of
+# the batched pass follow this constant, not the table.
+_CHUNK = 1 << 16
 
 
 def _f(v: float) -> str:
@@ -39,6 +42,7 @@ def _f(v: float) -> str:
 
 
 def _scale(lo: float, hi: float, a: float, b: float):
+    # The same operations, in the same order, on a float or an array.
     span = hi - lo if hi > lo else 1.0
     return lambda v: a + (v - lo) * (b - a) / span
 
@@ -78,6 +82,18 @@ def _tick_labels(out, x0, y0, w, h, lo_x, hi_x, lo_y, hi_y):
     )
 
 
+def _rows(row, sep, *columns):
+    """``row`` filled from ``columns`` once per element, joined by ``sep``.
+
+    Each chunk of ``_CHUNK`` rows is one ``%``-format call (``'%.2f'``
+    formats a float exactly as ``_f`` does); the chunks are yielded in
+    order and themselves join with ``sep``.
+    """
+    for start in range(0, len(columns[0]), _CHUNK):
+        part = np.column_stack([c[start : start + _CHUNK] for c in columns])
+        yield sep.join([row] * len(part)) % tuple(part.ravel().tolist())
+
+
 def _joint_panel(table, samples, ox, oy, width, height):
     out = [f'<g id="joint" transform="translate({_f(ox)} {_f(oy)})">']
     x0, y0 = _MARGIN + 8, 18
@@ -109,19 +125,18 @@ def _joint_panel(table, samples, ox, oy, width, height):
                 'fill="#dddddd"/>'
             )
     n_max = int(ns.max())
-    for x, z, n in zip(xs.tolist(), zs.tolist(), ns.tolist()):
-        r = side * 0.92 * (n / n_max) ** 0.5 / 2
-        out.append(
-            f'<rect x="{_f(sx(x) - r)}" y="{_f(sz(z) - r)}" '
-            f'width="{_f(2 * r)}" height="{_f(2 * r)}" fill="#2166ac"/>'
-        )
+    # Python's int division and pow, so no radius rounds differently
+    # from the scalar formula.
+    r = side * 0.92 * np.array([(n / n_max) ** 0.5 for n in ns.tolist()]) / 2
+    out.extend(_rows(
+        '<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="#2166ac"/>',
+        "\n", sx(xs) - r, sz(zs) - r, 2 * r, 2 * r,
+    ))
     if samples is not None and len(samples):
-        pts = []
-        for x, z in samples.tolist():
-            pts.append(
-                f'<circle cx="{_f(sx(float(x)))}" cy="{_f(sz(float(z)))}" '
-                'r="2.5" fill="#d6604d" fill-opacity="0.35"/>'
-            )
+        pts = _rows(
+            '<circle cx="%.2f" cy="%.2f" r="2.5" fill="#d6604d" fill-opacity="0.35"/>',
+            "", sx(samples[:, 0]), sz(samples[:, 1]),
+        )
         out.append(f'<g id="samples">{"".join(pts)}</g>')
     _axis_frame(out, x0, y0, w, h, "x (constituents)", "z (subconstituents)")
     _tick_labels(out, x0, y0, w, h, lo_x, hi_x, lo_z, hi_z)
@@ -130,29 +145,24 @@ def _joint_panel(table, samples, ox, oy, width, height):
 
 
 def _curve_paths(curves, empirical, scale_x, scale_y):
+    def points(curve):
+        return " ".join(_rows("%.2f,%.2f", " ", scale_x(curve.xs), scale_y(curve.ys)))
+
     paths = []
     for name, curve in curves:
-        pts = " ".join(
-            f"{_f(scale_x(float(x)))},{_f(scale_y(float(y)))}"
-            for x, y in zip(curve.xs, curve.ys)
-        )
         color = _COLORS.get(name, "#444444")
         paths.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+            f'<polyline points="{points(curve)}" fill="none" stroke="{color}" '
+            'stroke-width="1.5"/>'
         )
-    pts = " ".join(
-        f"{_f(scale_x(float(x)))},{_f(scale_y(float(y)))}"
-        for x, y in zip(empirical.xs, empirical.ys)
-    )
     paths.append(
-        f'<polyline points="{pts}" fill="none" stroke="{_COLORS["empirical"]}" '
-        'stroke-width="1.2" stroke-dasharray="4 2"/>'
+        f'<polyline points="{points(empirical)}" fill="none" '
+        f'stroke="{_COLORS["empirical"]}" stroke-width="1.2" stroke-dasharray="4 2"/>'
     )
-    for x, y in zip(empirical.xs, empirical.ys):
-        paths.append(
-            f'<circle cx="{_f(scale_x(float(x)))}" cy="{_f(scale_y(float(y)))}" '
-            f'r="3" fill="{_COLORS["empirical"]}"/>'
-        )
+    paths.extend(_rows(
+        f'<circle cx="%.2f" cy="%.2f" r="3" fill="{_COLORS["empirical"]}"/>',
+        "\n", scale_x(empirical.xs), scale_y(empirical.ys),
+    ))
     return paths
 
 

@@ -99,6 +99,23 @@ class TestFit:
         assert "Traceback" not in result.stderr
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--constituent-delimiter=ab",), "delimiter must be a single character, got 'ab'"),
+        (("--constituent-delimiter=#",), "delimiters must be distinct"),
+        (("--subconstituent-mode", "delimited", "--subconstituent-delimiter=-"),
+         "delimiters must be distinct"),
+    ])
+    @pytest.mark.parametrize("command", ["fit", "sample"])
+    def test_bad_corpus_delimiter_exit_1(self, command, flags, message, tmp_path):
+        result = run(
+            command, "--kind", "corpus", "--input", str(DATA / "syllables_synthetic.txt"),
+            *flags, "--out", str(tmp_path / "o"),
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith(f"error: {message}")
+        assert result.stderr.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_zero_samples_draw_an_empty_scatter(self, table_file, tmp_path):
         out = tmp_path / "out"
         result = run(

@@ -27,9 +27,9 @@ from menzerath import (
     predicted_mal_from_cells,
     sample_copula,
 )
-from menzerath.copula import JointProbabilityTable
+from menzerath.copula import RHO_CLAMP, JointProbabilityTable
 
-from util import random_marginal_counts, random_table, scaled
+from util import random_marginal_counts, random_table, ref_phi2, scaled
 
 
 def from_cells(cells, domain=Domain.SEGMENTS):
@@ -147,6 +147,60 @@ class TestPhi2:
             assert phi2(h, k, rho) == pytest.approx(
                 bvn_quadrature(h, k, rho), abs=1e-9
             )
+
+
+_EDGE_RHOS = [-1.0, 0.0, 1.0, RHO_CLAMP, -RHO_CLAMP]
+_LIMITS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf]),
+    st.floats(-40.0, 40.0, allow_nan=False),
+)
+
+
+class TestPhi2Lazy:
+    """Each case on its claimed entries only, byte-equal to the whole-grid form."""
+
+    @staticmethod
+    def same(h, k, rho):
+        # A subnormal limit overflows k / h in both forms alike.
+        with np.errstate(over="ignore"):
+            got, want = phi2(h, k, rho), ref_phi2(h, k, rho)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        h=st.lists(_LIMITS, min_size=1, max_size=12),
+        k=st.lists(_LIMITS, min_size=1, max_size=12),
+        rho=st.one_of(st.sampled_from(_EDGE_RHOS), st.floats(-1.0, 1.0)),
+    )
+    def test_grid_matches_whole_grid_form(self, h, k, rho):
+        h, k = np.array(h), np.array(k)
+        self.same(h[:, None], k[None, :], rho)
+        self.same(h[:, None], k[None, :], np.full((len(h), len(k)), rho))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        hkr=st.lists(
+            st.tuples(_LIMITS, _LIMITS, st.one_of(st.sampled_from(_EDGE_RHOS),
+                                                  st.floats(-1.0, 1.0))),
+            min_size=1, max_size=30,
+        )
+    )
+    def test_mixed_rho_matches_whole_grid_form(self, hkr):
+        h, k, rho = (np.array(c) for c in zip(*hkr))
+        self.same(h, k, rho)
+
+    @settings(max_examples=100, deadline=None)
+    @given(h=_LIMITS, k=_LIMITS,
+           rho=st.one_of(st.sampled_from(_EDGE_RHOS), st.floats(-1.0, 1.0)))
+    def test_scalar_matches_whole_grid_form(self, h, k, rho):
+        self.same(h, k, rho)
+
+    def test_cases_claim_in_order(self):
+        # h = k = 0 takes the arcsin form before the h = 0 and k = 0
+        # forms do, and h = 0 before k = 0; rho of 0 or +-1 comes first.
+        for rho in _EDGE_RHOS + [0.3, -0.7]:
+            self.same(np.array([0.0, 0.0, 1.5, -0.0]), np.array([0.0, -2.0, 0.0, 0.0]), rho)
 
 
 class TestEstimateRho:

@@ -1,13 +1,17 @@
 """SVG rendering: determinism, well-formedness, panel structure."""
 
+import dataclasses
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from menzerath import compare, render_svg, sample_copula
+from menzerath import compare, render_svg, sample_copula, svgfig, to_boundaries
 
-from util import random_table
+from util import random_table, ref_curve_paths, ref_joint_panel, scaled
 
 
 @pytest.fixture(scope="module")
@@ -74,3 +78,41 @@ class TestRenderSvg:
         assert "RSS=" in panel
         # Only classical models appear in the comparison panel.
         assert "copula" not in panel
+
+
+class TestBatchedFormatting:
+    """The batched panels against the per-element reference, byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        boundaries=st.booleans(),
+        # 2**53 + 1 makes counts that no float holds.
+        factor=st.sampled_from([1, 7, 2**53 + 1]),
+        n_samples=st.sampled_from([None, 0, 1, 6, 41]),
+        chunk=st.integers(1, 7),
+    )
+    def test_render_matches_reference(self, seed, boundaries, factor, n_samples, chunk):
+        rng = np.random.default_rng(seed)
+        comparison = compare(random_table(rng), ["hyperbolic", "gaussian", "copula"])
+        samples = None
+        if n_samples is not None:
+            samples = sample_copula(comparison.copulas["copula"], n_samples, seed)
+        table = scaled(comparison.table, factor)
+        if boundaries:
+            table = to_boundaries(table)
+        comparison = dataclasses.replace(comparison, table=table)
+        with mock.patch.object(svgfig, "_joint_panel", ref_joint_panel), \
+                mock.patch.object(svgfig, "_curve_paths", ref_curve_paths):
+            expected = render_svg(comparison, samples)
+        # Chunks of 1-7 rows, so the cells, the scatter and the curve
+        # points all cross a chunk edge.
+        with mock.patch.object(svgfig, "_CHUNK", chunk):
+            assert render_svg(comparison, samples) == expected
+
+    def test_default_chunk_edge(self, scene):
+        comparison, _ = scene
+        samples = sample_copula(comparison.copulas["copula"], svgfig._CHUNK + 3, 5)
+        with mock.patch.object(svgfig, "_joint_panel", ref_joint_panel):
+            expected = render_svg(comparison, samples)
+        assert render_svg(comparison, samples) == expected

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import regex
+from scipy.special import ndtr, owens_t
 
 from menzerath import (
     Domain,
@@ -20,6 +21,7 @@ from menzerath import (
     ParseError,
     build_table,
 )
+from menzerath.svgfig import _MARGIN, _COLORS, _axis_frame, _f, _scale, _tick_labels
 from menzerath.table import _aggregate, _checked_rows
 
 
@@ -248,3 +250,135 @@ def ref_frequency_table(source) -> JointFrequencyTable:
     if not numbers:
         raise EmptyInput("no data rows in input")
     return _aggregate(*rows, domain)
+
+
+# Element-by-element references for the batched kernels: every case of
+# phi2 evaluated over the whole grid before masking, and every SVG
+# coordinate scaled and formatted one Python float at a time, the way
+# the package computed them before it batched them.
+
+
+def ref_phi2(h, k, rho):
+    """:func:`menzerath.phi2` with every case computed on the whole grid."""
+    h_in, k_in, r_in = np.broadcast_arrays(
+        np.asarray(h, dtype=float), np.asarray(k, dtype=float), np.asarray(rho, dtype=float)
+    )
+    scalar = h_in.ndim == 0
+    hv = np.atleast_1d(h_in).ravel()
+    kv = np.atleast_1d(k_in).ravel()
+    rv = np.atleast_1d(r_in).ravel()
+    out = np.empty(hv.shape)
+    done = np.zeros(hv.shape, dtype=bool)
+
+    def claim(mask, values):
+        take = mask & ~done
+        if np.any(take):
+            out[take] = np.asarray(np.broadcast_to(values, hv.shape), dtype=float)[take]
+            done[take] = True
+
+    claim(np.isneginf(hv) | np.isneginf(kv), 0.0)
+    claim(np.isposinf(hv), ndtr(kv))
+    claim(np.isposinf(kv), ndtr(hv))
+    claim(rv == 1.0, ndtr(np.minimum(hv, kv)))
+    claim(rv == -1.0, np.maximum(ndtr(hv) + ndtr(kv) - 1.0, 0.0))
+    claim(rv == 0.0, ndtr(hv) * ndtr(kv))
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.sqrt((1.0 - rv) * (1.0 + rv))
+        claim((hv == 0.0) & (kv == 0.0), 0.25 + np.arcsin(rv) / (2.0 * math.pi))
+        claim((hv == 0.0), 0.5 * ndtr(kv) - owens_t(kv, -rv / s))
+        claim((kv == 0.0), 0.5 * ndtr(hv) - owens_t(hv, -rv / s))
+        a_h = (kv / hv - rv) / s
+        a_k = (hv / kv - rv) / s
+        beta = np.where(hv * kv < 0.0, 0.5, 0.0)
+        general = (
+            0.5 * (ndtr(hv) + ndtr(kv))
+            - owens_t(hv, a_h)
+            - owens_t(kv, a_k)
+            - beta
+        )
+    claim(np.ones_like(done), general)
+
+    out = np.clip(out, 0.0, 1.0)
+    if scalar:
+        return float(out[0])
+    return out.reshape(h_in.shape)
+
+
+def ref_joint_panel(table, samples, ox, oy, width, height):
+    """``svgfig._joint_panel`` with one ``<rect>`` or ``<circle>`` per loop step."""
+    out = [f'<g id="joint" transform="translate({_f(ox)} {_f(oy)})">']
+    x0, y0 = _MARGIN + 8, 18
+    w, h = width - x0 - 16, height - y0 - 46
+    xs, zs, ns = table.xs, table.zs, table.ns
+    lo_x, hi_x = int(table.support_x[0]), int(table.support_x[-1])
+    lo_z, hi_z = int(table.support_z[0]), int(table.support_z[-1])
+    if samples is not None and len(samples):
+        samples = np.asarray(samples)
+        lo_x = min(lo_x, int(samples[:, 0].min()))
+        hi_x = max(hi_x, int(samples[:, 0].max()))
+        lo_z = min(lo_z, int(samples[:, 1].min()))
+        hi_z = max(hi_z, int(samples[:, 1].max()))
+    sx = _scale(lo_x - 0.5, hi_x + 0.5, x0, x0 + w)
+    sz = _scale(lo_z - 0.5, hi_z + 0.5, y0 + h, y0)
+    cell_w = w / (hi_x - lo_x + 1)
+    cell_h = h / (hi_z - lo_z + 1)
+    side = min(cell_w, cell_h)
+    if table.domain is Domain.SEGMENTS:
+        for x in range(max(lo_x, lo_z + 1), hi_x + 1):
+            top = min(x - 1, hi_z)
+            if top < lo_z:
+                continue
+            out.append(
+                f'<rect x="{_f(sx(x - 0.5))}" y="{_f(sz(top + 0.5))}" '
+                f'width="{_f(cell_w)}" '
+                f'height="{_f(sz(lo_z - 0.5) - sz(top + 0.5))}" '
+                'fill="#dddddd"/>'
+            )
+    n_max = int(ns.max())
+    for x, z, n in zip(xs.tolist(), zs.tolist(), ns.tolist()):
+        r = side * 0.92 * (n / n_max) ** 0.5 / 2
+        out.append(
+            f'<rect x="{_f(sx(x) - r)}" y="{_f(sz(z) - r)}" '
+            f'width="{_f(2 * r)}" height="{_f(2 * r)}" fill="#2166ac"/>'
+        )
+    if samples is not None and len(samples):
+        pts = []
+        for x, z in samples.tolist():
+            pts.append(
+                f'<circle cx="{_f(sx(float(x)))}" cy="{_f(sz(float(z)))}" '
+                'r="2.5" fill="#d6604d" fill-opacity="0.35"/>'
+            )
+        out.append(f'<g id="samples">{"".join(pts)}</g>')
+    _axis_frame(out, x0, y0, w, h, "x (constituents)", "z (subconstituents)")
+    _tick_labels(out, x0, y0, w, h, lo_x, hi_x, lo_z, hi_z)
+    out.append("</g>")
+    return out
+
+
+def ref_curve_paths(curves, empirical, scale_x, scale_y):
+    """``svgfig._curve_paths`` with one point or ``<circle>`` per loop step."""
+    paths = []
+    for name, curve in curves:
+        pts = " ".join(
+            f"{_f(scale_x(float(x)))},{_f(scale_y(float(y)))}"
+            for x, y in zip(curve.xs, curve.ys)
+        )
+        color = _COLORS.get(name, "#444444")
+        paths.append(
+            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+        )
+    pts = " ".join(
+        f"{_f(scale_x(float(x)))},{_f(scale_y(float(y)))}"
+        for x, y in zip(empirical.xs, empirical.ys)
+    )
+    paths.append(
+        f'<polyline points="{pts}" fill="none" stroke="{_COLORS["empirical"]}" '
+        'stroke-width="1.2" stroke-dasharray="4 2"/>'
+    )
+    for x, y in zip(empirical.xs, empirical.ys):
+        paths.append(
+            f'<circle cx="{_f(scale_x(float(x)))}" cy="{_f(scale_y(float(y)))}" '
+            f'r="3" fill="{_COLORS["empirical"]}"/>'
+        )
+    return paths
