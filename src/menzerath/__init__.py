@@ -72,11 +72,9 @@ from .report import (
     MODEL_ORDER,
     SCHEMA_VERSION,
     Comparison,
-    ComparisonReport,
     cells_csv,
     compare,
     curves_csv,
-    dataset_summary,
     write_artifacts,
     write_report,
 )

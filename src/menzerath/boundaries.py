@@ -63,7 +63,7 @@ def cells_from_boundaries(cells: JointProbabilityTable) -> JointProbabilityTable
     """
     if cells.domain is not Domain.BOUNDARIES:
         raise WrongDomain("cells_from_boundaries needs boundary-domain cells")
-    return JointProbabilityTable.from_columns(
+    return JointProbabilityTable(
         Domain.SEGMENTS, *_segment_columns(cells.xs, cells.zs), cells.ps
     )
 

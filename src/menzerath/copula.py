@@ -14,7 +14,6 @@ path for scatter overlays.
 import enum
 import math
 import warnings
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,13 +23,12 @@ from ._normals import correlate_pairs, standard_normal_pairs
 from .errors import RhoOutOfRange, WrongDomain
 from .table import (
     Axis,
-    CellView,
     Domain,
     JointFrequencyTable,
     MalCurve,
     MarginalDistribution,
     Space,
-    _check_ascending,
+    _CellColumns,
     _moments,
     _run_sums,
     marginal,
@@ -166,75 +164,31 @@ class GaussianCopulaModel:
             raise RhoOutOfRange(f"copula needs |rho| < 1, got {self.rho}")
 
 
-class JointProbabilityTable:
+class JointProbabilityTable(_CellColumns):
     """Model-side joint distribution: probability per (x, z) cell.
 
     Held as read-only columns ``xs``, ``zs`` (int64) and ``ps`` (float)
     in strictly ascending (x, z) order; ``cells`` is a read-only mapping
-    view of them.  ``JointProbabilityTable(domain, cells)`` builds one
-    from an ``(x, z) -> probability`` mapping, :meth:`from_columns`
-    wraps sorted columns.
+    view of them.  The probabilities are non-negative and sum to 1, and
+    segment-domain cells have x >= 1.
     """
 
-    __slots__ = ("domain", "xs", "zs", "ps")
+    __slots__ = ("ps",)
+    _VALUE = "ps"
 
-    def __init__(self, domain: Domain, cells: Mapping):
-        keys = sorted(cells)
-        self._set(
-            domain,
-            np.array([k[0] for k in keys], dtype=np.int64),
-            np.array([k[1] for k in keys], dtype=np.int64),
-            np.array([cells[k] for k in keys], dtype=float),
-        )
-
-    @classmethod
-    def from_columns(cls, domain: Domain, xs, zs, ps) -> "JointProbabilityTable":
-        """Table over cell columns already in strictly ascending (x, z) order."""
-        table = cls.__new__(cls)
-        table._set(domain, xs, zs, ps)
-        return table
-
-    def _set(self, domain: Domain, xs, zs, ps) -> None:
+    def __init__(self, domain: Domain, xs, zs, ps):
         xs, zs = np.array(xs, dtype=np.int64), np.array(zs, dtype=np.int64)
-        ps = np.array(ps, dtype=float)
-        _check_ascending(xs, zs)
+        super().__init__(domain, xs, zs, np.array(ps, dtype=float))
         if domain is Domain.SEGMENTS and len(xs) and xs[0] < 1:
             raise ValueError(f"segment-domain cells need x >= 1, got x = {xs[0]}")
-        negative = np.flatnonzero(ps < 0.0)
+        negative = np.flatnonzero(self.ps < 0.0)
         if len(negative):
             i = negative[0]
             key = (int(xs[i]), int(zs[i]))
-            raise ValueError(f"negative probability {ps[i]} at {key}")
-        total = float(ps.sum())
+            raise ValueError(f"negative probability {self.ps[i]} at {key}")
+        total = float(self.ps.sum())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"cell probabilities sum to {total}, not 1")
-        for arr in (xs, zs, ps):
-            arr.setflags(write=False)
-        for name, value in (("domain", domain), ("xs", xs), ("zs", zs), ("ps", ps)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        return type(self).from_columns, (self.domain, self.xs, self.zs, self.ps)
-
-    def __repr__(self) -> str:
-        return f"JointProbabilityTable(domain={self.domain}, cells={len(self.xs)})"
-
-    @property
-    def cells(self) -> CellView:
-        """Read-only ``(x, z) -> probability`` view of the columns."""
-        return CellView(self.xs, self.zs, self.ps)
-
-    def axis_sums(self, axis: Axis) -> dict[int, float]:
-        """Probability per value of one axis, summed in ascending cell order."""
-        if axis is Axis.X:
-            keys, sums = _run_sums(self.xs, self.ps)
-        else:
-            order = np.argsort(self.zs, kind="stable")
-            keys, sums = _run_sums(self.zs[order], self.ps[order])
-        return dict(zip(keys.tolist(), sums.tolist()))
 
 
 def _normal_scores(m: MarginalDistribution, values: np.ndarray) -> np.ndarray:
@@ -308,7 +262,7 @@ def cell_probabilities(model: GaussianCopulaModel) -> JointProbabilityTable:
     kz = ndtri(model.marginal_z.cdf_edges())
     probs = _rectangle_masses(hx, kz, model.rho)
     sx, sz = model.marginal_x.support, model.marginal_z.support
-    return JointProbabilityTable.from_columns(
+    return JointProbabilityTable(
         model.domain, np.repeat(sx, len(sz)), np.tile(sz, len(sx)), probs.ravel()
     )
 

@@ -49,8 +49,8 @@ class BivariateGaussianParams:
     """Means, sds and correlation of a bivariate (log-)normal joint.
 
     In log space the fields describe the distribution of (ln x, ln z).
-    |rho| = 1 is representable (a collinear fit result) but flagged via
-    :attr:`rho_degenerate`; density evaluation and sampling reject it.
+    |rho| = 1 is representable (a collinear fit result), but density
+    evaluation and sampling reject it.
     """
 
     mean_x: float
@@ -65,10 +65,6 @@ class BivariateGaussianParams:
             raise DegenerateVariance("sds must be positive")
         if abs(self.rho) > 1.0:
             raise RhoOutOfRange(f"|rho| must be <= 1, got {self.rho}")
-
-    @property
-    def rho_degenerate(self) -> bool:
-        return abs(self.rho) == 1.0
 
 
 def fit_bivariate(table: JointFrequencyTable, space: Space) -> BivariateGaussianParams:
@@ -116,6 +112,9 @@ def lattice_density(
         raise RhoOutOfRange("density needs |rho| < 1")
     xs = np.asarray(list(x_range), dtype=np.int64)
     zs = np.asarray(list(z_range), dtype=np.int64)
+    for name, values in (("x_range", xs), ("z_range", zs)):
+        if len(values) == 0:
+            raise ValueError(f"{name} is empty")
     if np.any(np.diff(xs) <= 0) or np.any(np.diff(zs) <= 0):
         raise ValueError("x_range and z_range must be strictly ascending")
     if params.space is Space.LOG and (xs[0] - 0.5 <= 0 or zs[0] - 0.5 <= 0):

@@ -1,12 +1,14 @@
 """Model comparison, versioned JSON reports, CSV exports and artifact files.
 
 :func:`compare` fits named models through one registry and scores each
-predicted Menzerath curve against the empirical one;
-:func:`write_artifacts` writes the files of its result.  Everything
-emitted here is canonical and reproducible byte for byte: JSON uses
-sorted keys, shortest round-trip float formatting (Python's ``repr``)
-and a trailing newline; model blocks appear in a fixed order inside an
-array so the canonical ordering survives key sorting.
+predicted Menzerath curve against the empirical one.  Its result is all
+an artifact needs: :func:`write_report`, :func:`curves_csv`,
+:func:`cells_csv` and :func:`~menzerath.svgfig.render_svg` each build
+one file's text, and :func:`write_artifacts` writes the files.
+Everything emitted here is canonical and reproducible byte for byte:
+JSON uses sorted keys, shortest round-trip float formatting (Python's
+``repr``) and a trailing newline; model blocks appear in a fixed order
+inside an array so the canonical ordering survives key sorting.
 """
 
 import json
@@ -36,7 +38,6 @@ from .errors import MenzerathError
 from .gaussian import fit_bivariate, predicted_mal
 from .svgfig import render_svg
 from .table import (
-    Domain,
     JointFrequencyTable,
     MalCurve,
     Space,
@@ -49,9 +50,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "MODEL_ORDER",
     "Comparison",
-    "ComparisonReport",
     "compare",
-    "dataset_summary",
     "write_report",
     "curves_csv",
     "cells_csv",
@@ -69,34 +68,6 @@ MODEL_ORDER = (
     "copula",
     "copula-boundaries",
 )
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Dataset summary plus per-model parameter and RSS blocks.
-
-    ``models`` blocks are dicts carrying at least ``model``, ``rss``
-    and either a ``space`` or an ``estimator`` flag; they are stored in
-    the canonical :data:`MODEL_ORDER`.
-    """
-
-    dataset: dict
-    models: tuple = ()
-    sampling: dict | None = None
-    schema_version: int = SCHEMA_VERSION
-
-    def __post_init__(self):
-        known = {name: i for i, name in enumerate(MODEL_ORDER)}
-        for block in self.models:
-            name = block.get("model")
-            if name not in known:
-                raise ValueError(f"unknown model block {name!r}")
-            if block.get("rss") is not None and block["rss"] < 0:
-                raise ValueError(f"negative rss in model block {name!r}")
-            if "space" not in block and "estimator" not in block:
-                raise ValueError(f"model block {name!r} names no space/estimator flag")
-        ordered = tuple(sorted(self.models, key=lambda b: known[b["model"]]))
-        object.__setattr__(self, "models", ordered)
 
 
 def _closed_form(fit, space: str, derivation: str, curve: MalCurve):
@@ -171,8 +142,34 @@ class Comparison:
 
     @property
     def dataset(self) -> dict:
-        """The :func:`dataset_summary` of ``table``, built from ``curve``."""
-        return _summary(self.table, self.curve)
+        """Totals, supports, moments and correlations of ``table``.
+
+        It also carries the empirical Menzerath ``curve``, so every
+        reported RSS can be re-derived from the report alone.  The table
+        is in the segment domain, so every raw and log mean exists; a
+        correlation is ``None`` when an axis has zero variance.
+        """
+        table = self.table
+        sx, sz = table.support_x, table.support_z
+        raw, log = weighted_moments(table, Space.RAW), weighted_moments(table, Space.LOG)
+        return {
+            "domain": table.domain.value,
+            "total": table.total,
+            "distinct_cells": len(table.xs),
+            "support_x": {"min": int(sx[0]), "max": int(sx[-1]), "size": len(sx)},
+            "support_z": {"min": int(sz[0]), "max": int(sz[-1]), "size": len(sz)},
+            "moments": {
+                "x": {"mean": raw.mean_x, "sd": raw.sd_x},
+                "z": {"mean": raw.mean_z, "sd": raw.sd_z},
+                "log_x": {"mean": log.mean_x, "sd": log.sd_x},
+                "log_z": {"mean": log.mean_z, "sd": log.sd_z},
+            },
+            "correlation": {"raw": raw.rho, "log": log.rho},
+            "mal_curve": [
+                {"x": int(x), "y": float(y), "n": float(n)}
+                for x, y, n in self.curve.points
+            ],
+        }
 
 
 def compare(
@@ -208,56 +205,19 @@ def compare(
     return Comparison(table, seed, curve, tuple(blocks), curves, cells, copulas)
 
 
-def _mean_sd(mean, sd):
-    return None if mean is None else {"mean": mean, "sd": sd}
+def write_report(comparison: Comparison, n: int) -> str:
+    """Canonical JSON text of ``comparison`` (sorted keys, newline terminated).
 
-
-def dataset_summary(table: JointFrequencyTable) -> dict:
-    """Totals, supports, moments and correlations of the dataset.
-
-    Log-space entries are ``null`` when undefined (boundary-domain
-    zeros); correlations are ``null`` for degenerate tables.  For
-    segment-domain tables the summary includes the empirical Menzerath
-    curve, so reported RSS values can be re-derived from the report
-    plus the dataset alone.
+    The report holds the dataset summary, the model blocks in
+    :data:`MODEL_ORDER` and the seed and number ``n`` of the samples
+    drawn from the copulas.
     """
-    segments = table.domain is Domain.SEGMENTS
-    return _summary(table, empirical_mal_curve(table) if segments else None)
-
-
-def _summary(table: JointFrequencyTable, curve: MalCurve | None) -> dict:
-    sx, sz = table.support_x, table.support_z
-    raw, log = weighted_moments(table, Space.RAW), weighted_moments(table, Space.LOG)
-    summary = {
-        "domain": table.domain.value,
-        "total": table.total,
-        "distinct_cells": len(table.xs),
-        "support_x": {"min": int(sx[0]), "max": int(sx[-1]), "size": len(sx)},
-        "support_z": {"min": int(sz[0]), "max": int(sz[-1]), "size": len(sz)},
-        "moments": {
-            "x": _mean_sd(raw.mean_x, raw.sd_x),
-            "z": _mean_sd(raw.mean_z, raw.sd_z),
-            "log_x": _mean_sd(log.mean_x, log.sd_x),
-            "log_z": _mean_sd(log.mean_z, log.sd_z),
-        },
-        "correlation": {"raw": raw.rho, "log": log.rho},
-    }
-    if curve is not None:
-        summary["mal_curve"] = [
-            {"x": int(x), "y": float(y), "n": float(n)} for x, y, n in curve.points
-        ]
-    return summary
-
-
-def write_report(report: ComparisonReport) -> str:
-    """Serialize to canonical JSON text (sorted keys, newline terminated)."""
     payload = {
-        "schema_version": report.schema_version,
-        "dataset": report.dataset,
-        "models": list(report.models),
+        "schema_version": SCHEMA_VERSION,
+        "dataset": comparison.dataset,
+        "models": list(comparison.blocks),
+        "sampling": {"seed": comparison.seed, "n": n},
     }
-    if report.sampling is not None:
-        payload["sampling"] = report.sampling
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -325,12 +285,7 @@ def write_artifacts(out_dir, comparison: Comparison, emit, n: int, samples=None)
         (out_dir / name).write_bytes(text.encode("utf-8"))
 
     if "json" in emit:
-        report = ComparisonReport(
-            dataset=comparison.dataset,
-            models=comparison.blocks,
-            sampling={"seed": comparison.seed, "n": n},
-        )
-        write("report.json", write_report(report))
+        write("report.json", write_report(comparison, n))
     if "csv" in emit:
         write("curves.csv", curves_csv(comparison.curve, comparison.curves))
         write("cells.csv", cells_csv(comparison.table, comparison.cells))

@@ -137,12 +137,6 @@ def _checked_rows(xs, zs, ns, domain: Domain, lines=None):
     return tuple(col.astype(np.int64, copy=False) for col in cols)
 
 
-def _check_ascending(xs: np.ndarray, zs: np.ndarray) -> None:
-    dx = np.diff(xs)
-    if np.any((dx < 0) | ((dx == 0) & (np.diff(zs) <= 0))):
-        raise ValueError("cells must be strictly ascending in (x, z)")
-
-
 def _exact_total(ns: np.ndarray) -> int:
     """Exact sum of positive int64 counts; OverflowError past MAX_COUNT."""
     # The float sum is far closer than a factor of two to the true sum,
@@ -220,7 +214,45 @@ class CellView(Mapping):
         return f"{type(self).__name__}({dict(self)!r})"
 
 
-class JointFrequencyTable:
+class _CellColumns:
+    """Immutable cells in strictly ascending (x, z) order, as columns.
+
+    ``xs`` and ``zs`` (int64) key the cells and the column a subclass
+    names in ``_VALUE`` holds their values.  A subclass checks its values
+    and stores what it derives through :meth:`_set`, which freezes arrays.
+    """
+
+    __slots__ = ("domain", "xs", "zs")
+    _VALUE: str
+
+    def __init__(self, domain: Domain, xs: np.ndarray, zs: np.ndarray, values: np.ndarray):
+        dx = np.diff(xs)
+        if np.any((dx < 0) | ((dx == 0) & (np.diff(zs) <= 0))):
+            raise ValueError("cells must be strictly ascending in (x, z)")
+        self._set(domain=domain, xs=xs, zs=zs, **{self._VALUE: values})
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.domain, self.xs, self.zs, getattr(self, self._VALUE))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(domain={self.domain}, cells={len(self.xs)})"
+
+    @property
+    def cells(self) -> CellView:
+        """Read-only ``(x, z) -> value`` view of the columns."""
+        return CellView(self.xs, self.zs, getattr(self, self._VALUE))
+
+
+class JointFrequencyTable(_CellColumns):
     """Counts over (x, z) pairs: the empirical joint length distribution.
 
     The table is three read-only int64 columns ``xs``, ``zs`` and
@@ -235,29 +267,18 @@ class JointFrequencyTable:
     already in strictly ascending (x, z) order.
     """
 
-    __slots__ = ("domain", "xs", "zs", "ns", "total", "support_x", "support_z")
+    __slots__ = ("ns", "total", "support_x", "support_z")
+    _VALUE = "ns"
 
     def __init__(self, domain: Domain, xs, zs, ns):
         if len(xs) == 0:
             raise EmptyInput("table has no cells")
-        xs, zs, ns = _checked_rows(xs, zs, ns, domain)
-        _check_ascending(xs, zs)
-        support_x = xs[_run_starts(xs)]
-        support_z = np.unique(zs)
-        for arr in (xs, zs, ns, support_x, support_z):
-            arr.setflags(write=False)
-        for name, value in (
-            ("domain", domain), ("xs", xs), ("zs", zs), ("ns", ns),
-            ("total", _exact_total(ns)), ("support_x", support_x),
-            ("support_z", support_z),
-        ):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        return type(self), (self.domain, self.xs, self.zs, self.ns)
+        super().__init__(domain, *_checked_rows(xs, zs, ns, domain))
+        self._set(
+            total=_exact_total(self.ns),
+            support_x=self.xs[_run_starts(self.xs)],
+            support_z=np.unique(self.zs),
+        )
 
     def __eq__(self, other):
         if not isinstance(other, JointFrequencyTable):
@@ -268,19 +289,6 @@ class JointFrequencyTable:
         )
 
     __hash__ = None
-
-    def __repr__(self) -> str:
-        return (f"JointFrequencyTable(domain={self.domain}, cells={len(self.xs)}, "
-                f"total={self.total})")
-
-    @property
-    def cells(self) -> CellView:
-        """Read-only ``(x, z) -> count`` view of the columns."""
-        return CellView(self.xs, self.zs, self.ns)
-
-    def sorted_cells(self) -> list[tuple[int, int, int]]:
-        """Cells as (x, z, count) rows in ascending (x, z) order."""
-        return list(zip(self.xs.tolist(), self.zs.tolist(), self.ns.tolist()))
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The read-only (xs, zs, counts) columns, in ascending cell order."""
@@ -366,9 +374,6 @@ class MarginalDistribution:
             raise UOutOfRange("all u must satisfy 0 < u <= 1")
         return self.support[np.searchsorted(self.cdf, u, side="left")]
 
-    def mean(self) -> float:
-        return float(np.dot(self.support, self.pmf))
-
 
 @dataclass(frozen=True)
 class WeightedMoments:
@@ -433,13 +438,6 @@ class MalCurve:
             (int(x), float(y), float(n))
             for x, y, n in zip(self.xs, self.ys, self.ns)
         ]
-
-    @classmethod
-    def from_points(cls, points) -> "MalCurve":
-        xs = np.array([p[0] for p in points], dtype=np.int64)
-        ys = np.array([p[1] for p in points], dtype=float)
-        ns = np.array([p[2] for p in points], dtype=float)
-        return cls(xs=xs, ys=ys, ns=ns)
 
 
 def marginal(table: JointFrequencyTable, axis: Axis) -> MarginalDistribution:

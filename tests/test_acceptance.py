@@ -48,7 +48,7 @@ from menzerath import (
 )
 from menzerath.boundaries import boundary_copula_cells
 
-from util import expand, ols_normal_equations, random_table
+from util import expand, ols_normal_equations, random_table, ref_axis_sums
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -169,12 +169,10 @@ def test_criterion_05_copula_cell_correctness():
         model = _random_model(rng)
         cells = cell_probabilities(model)
         worst_sum = max(worst_sum, abs(sum(cells.cells.values()) - 1.0))
-        from menzerath import Axis
-
-        x_sums = cells.axis_sums(Axis.X)
+        x_sums = ref_axis_sums(dict(cells.cells), 0)
         for v, p in zip(model.marginal_x.support, model.marginal_x.pmf):
             worst_marg = max(worst_marg, abs(x_sums[int(v)] - float(p)))
-        z_sums = cells.axis_sums(Axis.Z)
+        z_sums = ref_axis_sums(dict(cells.cells), 1)
         for v, p in zip(model.marginal_z.support, model.marginal_z.pmf):
             worst_marg = max(worst_marg, abs(z_sums[int(v)] - float(p)))
         independent = GaussianCopulaModel(

@@ -35,6 +35,13 @@ def from_cells(cells, domain=Domain.SEGMENTS):
     return build_table([(x, z, n) for (x, z), n in cells.items()], domain)
 
 
+def points_curve(points) -> MalCurve:
+    """Curve through ``(x, y, weight)`` points."""
+    xs, ys, ns = zip(*points)
+    return MalCurve(xs=np.array(xs, dtype=np.int64), ys=np.array(ys, dtype=float),
+                    ns=np.array(ns, dtype=float))
+
+
 class TestFitLinear:
     def test_exact_line(self):
         t = from_cells({(1, 3): 1, (2, 5): 1, (3, 7): 1})
@@ -123,24 +130,24 @@ class TestAltmannFromLoglinear:
 
 class TestFitAltmannDirect:
     def test_exact_power_law_through_two_points(self):
-        curve = MalCurve.from_points([(1, 4.0, 1), (4, 2.0, 1)])
+        curve = points_curve([(1, 4.0, 1), (4, 2.0, 1)])
         fit = fit_altmann_direct(curve)
         assert fit.a == pytest.approx(4.0, rel=1e-12)
         assert fit.b == pytest.approx(0.5, abs=1e-12)
 
     def test_constant_curve(self):
-        curve = MalCurve.from_points([(1, 3.0, 1), (2, 3.0, 1), (5, 3.0, 1)])
+        curve = points_curve([(1, 3.0, 1), (2, 3.0, 1), (5, 3.0, 1)])
         fit = fit_altmann_direct(curve)
         assert fit.a == pytest.approx(3.0, rel=1e-12)
         assert fit.b == pytest.approx(0.0, abs=1e-12)
 
     def test_single_point_degenerate(self):
         with pytest.raises(DegenerateVariance):
-            fit_altmann_direct(MalCurve.from_points([(1, 2.0, 1)]))
+            fit_altmann_direct(points_curve([(1, 2.0, 1)]))
 
     def test_nonpositive_y(self):
         with pytest.raises(NonpositiveY):
-            fit_altmann_direct(MalCurve.from_points([(1, 2.0, 1), (2, -1.0, 1)]))
+            fit_altmann_direct(points_curve([(1, 2.0, 1), (2, -1.0, 1)]))
 
     def test_recovers_generating_parameters(self):
         rng = np.random.default_rng(13)
@@ -172,18 +179,18 @@ class TestEvalModel:
 
 class TestRss:
     def test_identical_curves(self):
-        c = MalCurve.from_points([(1, 2.0, 1), (2, 1.5, 1)])
+        c = points_curve([(1, 2.0, 1), (2, 1.5, 1)])
         assert rss(c, c) == 0.0
 
     def test_unit_offsets(self):
-        a = MalCurve.from_points([(1, 2.0, 1), (2, 1.5, 1)])
-        b = MalCurve.from_points([(1, 3.0, 1), (2, 0.5, 1)])
+        a = points_curve([(1, 2.0, 1), (2, 1.5, 1)])
+        b = points_curve([(1, 3.0, 1), (2, 0.5, 1)])
         assert rss(a, b) == 2.0
         assert rss(b, a) == 2.0
 
     def test_mismatched_support(self):
-        a = MalCurve.from_points([(1, 2.0, 1), (2, 1.5, 1)])
-        b = MalCurve.from_points([(1, 2.0, 1), (3, 1.5, 1)])
+        a = points_curve([(1, 2.0, 1), (2, 1.5, 1)])
+        b = points_curve([(1, 2.0, 1), (3, 1.5, 1)])
         with pytest.raises(MismatchedSupport):
             rss(a, b)
 

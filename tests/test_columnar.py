@@ -18,7 +18,6 @@ from menzerath import (
     Axis,
     DegenerateVariance,
     Domain,
-    JointProbabilityTable,
     Space,
     build_table,
     cell_probabilities,
@@ -35,8 +34,8 @@ from menzerath import (
 from menzerath.table import MAX_COUNT
 
 from util import (
+    probability_table,
     random_table,
-    ref_axis_sums,
     ref_cells,
     ref_correlation,
     ref_from_boundaries,
@@ -86,7 +85,7 @@ tables = st.one_of(
 
 
 def plain(table) -> dict:
-    return {(x, z): n for x, z, n in table.sorted_cells()}
+    return dict(zip(zip(table.xs.tolist(), table.zs.tolist()), table.ns.tolist()))
 
 
 def close(a: float, b: float) -> bool:
@@ -98,7 +97,7 @@ def close(a: float, b: float) -> bool:
 def test_aggregation_is_exact(rows):
     table = build_table(rows, Domain.SEGMENTS)
     expected = ref_cells(rows)
-    assert table.sorted_cells() == sorted((x, z, n) for (x, z), n in expected.items())
+    assert list(plain(table).items()) == sorted(expected.items())
     assert table.total == sum(expected.values())
     assert table.support_x.tolist() == sorted({x for x, _ in expected})
     assert table.support_z.tolist() == sorted({z for _, z in expected})
@@ -190,7 +189,7 @@ probability_dicts = st.dictionaries(
 def test_segment_cells_need_positive_x():
     # The model curve divides by x, so x = 0 must not reach it.
     with pytest.raises(ValueError, match="x >= 1"):
-        JointProbabilityTable(Domain.SEGMENTS, {(0, 0): 0.5, (1, 1): 0.5})
+        probability_table(Domain.SEGMENTS, {(0, 0): 0.5, (1, 1): 0.5})
 
 
 def _model_cells(table):
@@ -200,7 +199,7 @@ def _model_cells(table):
 
 
 @given(st.one_of(
-    probability_dicts.map(lambda d: [JointProbabilityTable(Domain.SEGMENTS, d)]),
+    probability_dicts.map(lambda d: [probability_table(Domain.SEGMENTS, d)]),
     random_tables.map(_model_cells),
 ))
 @settings(max_examples=60)
@@ -208,8 +207,6 @@ def test_probability_reductions_are_bitwise(models):
     for cells in models:
         probabilities = dict(cells.cells)
         assert infeasible_mass(cells) == ref_infeasible_mass(probabilities)
-        for axis, pick in ((Axis.X, 0), (Axis.Z, 1)):
-            assert cells.axis_sums(axis) == ref_axis_sums(probabilities, pick)
         expected = ref_predicted_curve(probabilities)
         if expected:
             assert predicted_mal_from_cells(cells).points == expected

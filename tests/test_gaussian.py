@@ -38,7 +38,7 @@ class TestFitBivariate:
         assert (params.mean_x, params.mean_z) == (3.0, 6.0)
         assert (params.sd_x, params.sd_z) == (1.0, 2.0)
         assert params.rho == 1.0
-        assert params.rho_degenerate
+        assert abs(params.rho) == 1.0
 
     def test_product_grid_independent(self):
         t = from_cells({(1, 2): 1, (1, 4): 1, (3, 2): 1, (3, 4): 1}, Domain.BOUNDARIES)
@@ -129,6 +129,15 @@ class TestLatticeDensity:
         with pytest.raises(RhoOutOfRange):
             lattice_density(params, range(0, 3), range(0, 3))
 
+    @pytest.mark.parametrize("x_range, z_range, empty", [
+        ([], range(1, 3), "x_range"),
+        (range(1, 3), [], "z_range"),
+    ])
+    def test_empty_range_rejected(self, x_range, z_range, empty):
+        params = BivariateGaussianParams(2.0, 5.0, 1.0, 2.0, 0.3, Space.RAW)
+        with pytest.raises(ValueError, match=f"{empty} is empty"):
+            lattice_density(params, x_range, z_range)
+
 
 class TestPredictedMal:
     def test_zero_intercept_raw_is_constant(self):
@@ -155,7 +164,7 @@ class TestPredictedMal:
         rng = np.random.default_rng(42)
         for _ in range(10):
             t = random_table(rng)
-            xs = sorted({x for x, _, _ in t.sorted_cells()})
+            xs = sorted(set(t.xs.tolist()))
             via_params = predicted_mal(fit_bivariate(t, Space.RAW), xs)
             via_chain = eval_model(hyperbolic_from_linear(fit_linear(t, Space.RAW)), xs)
             np.testing.assert_allclose(via_params.ys, via_chain.ys, atol=1e-9)
@@ -164,7 +173,7 @@ class TestPredictedMal:
         rng = np.random.default_rng(43)
         for _ in range(10):
             t = random_table(rng)
-            xs = sorted({x for x, _, _ in t.sorted_cells()})
+            xs = sorted(set(t.xs.tolist()))
             via_params = predicted_mal(fit_bivariate(t, Space.LOG), xs)
             via_chain = eval_model(
                 altmann_from_loglinear(fit_linear(t, Space.LOG)), xs

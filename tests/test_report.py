@@ -1,7 +1,6 @@
 """Canonical JSON reports and CSV exports."""
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -9,19 +8,14 @@ import pytest
 from menzerath import (
     MODEL_ORDER,
     AltmannFit,
-    ComparisonReport,
-    Domain,
     Estimator,
     HyperbolicFit,
-    MalCurve,
     Space,
     boundary_copula_cells,
-    build_table,
     cell_probabilities,
     cells_csv,
     compare,
     curves_csv,
-    dataset_summary,
     empirical_mal_curve,
     eval_model,
     fit_bivariate,
@@ -34,88 +28,49 @@ from menzerath import (
     write_report,
 )
 
-from util import expand, random_table
+from util import random_table
 
 
 def sample_report():
     rng = np.random.default_rng(61)
     t = random_table(rng)
-    curve = empirical_mal_curve(t)
-    hyp = HyperbolicFit(1.2, 1.8)
-    alt = AltmannFit(3.0, 0.4)
-    blocks = (
-        {
-            "model": "altmann",
-            "space": "log",
-            "params": {"a": alt.a, "b": alt.b, "log_a": alt.log_a},
-            "rss": rss(curve, eval_model(alt, curve.xs)),
-        },
-        {
-            "model": "hyperbolic",
-            "space": "raw",
-            "params": {"a": hyp.a, "b": hyp.b},
-            "rss": rss(curve, eval_model(hyp, curve.xs)),
-        },
-    )
-    return t, ComparisonReport(
-        dataset=dataset_summary(t), models=blocks, sampling={"seed": 0, "n": 100}
-    )
-
-
-class TestComparisonReport:
-    def test_blocks_reordered_canonically(self):
-        _, report = sample_report()
-        assert [b["model"] for b in report.models] == ["hyperbolic", "altmann"]
-
-    def test_unknown_model_rejected(self):
-        with pytest.raises(ValueError):
-            ComparisonReport(dataset={}, models=({"model": "mystery", "rss": 0.0},))
-
-    def test_negative_rss_rejected(self):
-        with pytest.raises(ValueError):
-            ComparisonReport(
-                dataset={},
-                models=({"model": "altmann", "space": "log", "rss": -1.0},),
-            )
-
-    def test_block_must_name_space_or_estimator(self):
-        with pytest.raises(ValueError):
-            ComparisonReport(dataset={}, models=({"model": "altmann", "rss": 0.0},))
+    return t, compare(t, ["altmann", "hyperbolic"])
 
 
 class TestWriteReport:
     def test_byte_identical_across_runs(self):
-        _, report = sample_report()
-        assert write_report(report) == write_report(report)
+        t, comparison = sample_report()
+        again = compare(t, ["altmann", "hyperbolic"])
+        assert write_report(comparison, 100) == write_report(again, 100)
 
     def test_ends_with_newline_and_sorted_keys(self):
-        _, report = sample_report()
-        text = write_report(report)
+        _, comparison = sample_report()
+        text = write_report(comparison, 100)
         assert text.endswith("\n")
         payload = json.loads(text)
         assert payload["schema_version"] == 1
+        assert payload["sampling"] == {"seed": 0, "n": 100}
         assert list(payload) == sorted(payload)
 
     def test_model_block_order_survives_serialization(self):
-        _, report = sample_report()
-        payload = json.loads(write_report(report))
+        _, comparison = sample_report()
+        payload = json.loads(write_report(comparison, 100))
         assert [b["model"] for b in payload["models"]] == ["hyperbolic", "altmann"]
 
     def test_empty_model_list(self):
         t, _ = sample_report()
-        text = write_report(ComparisonReport(dataset=dataset_summary(t)))
-        payload = json.loads(text)
+        payload = json.loads(write_report(compare(t, []), 0))
         assert payload["models"] == []
         assert payload["dataset"]["total"] == t.total
 
     def test_floats_round_trip_exactly(self):
-        _, report = sample_report()
-        payload = json.loads(write_report(report))
-        assert payload["models"][0]["rss"] == report.models[0]["rss"]
+        _, comparison = sample_report()
+        payload = json.loads(write_report(comparison, 100))
+        assert payload["models"][0]["rss"] == comparison.blocks[0]["rss"]
 
     def test_rss_rederivable_from_report_plus_dataset(self):
-        t, report = sample_report()
-        payload = json.loads(write_report(report))
+        t, comparison = sample_report()
+        payload = json.loads(write_report(comparison, 100))
         curve = empirical_mal_curve(t)
         for block in payload["models"]:
             p = block["params"]
@@ -130,17 +85,7 @@ class TestWriteReport:
         rng = np.random.default_rng(62)
         t = random_table(rng)
         curve = empirical_mal_curve(t)
-        model = fit_copula(t)
-        cells = cell_probabilities(model)
-        block = {
-            "model": "copula",
-            "estimator": model.estimator.value,
-            "params": {"rho": model.rho},
-            "rss": rss(curve, predicted_mal_from_cells(cells)),
-        }
-        payload = json.loads(
-            write_report(ComparisonReport(dataset=dataset_summary(t), models=(block,)))
-        )
+        payload = json.loads(write_report(compare(t, ["copula"]), 100))
         # Re-derive: refit marginals from the dataset, reuse reported rho.
         refit = fit_copula(t)
         assert refit.rho == payload["models"][0]["params"]["rho"]
@@ -149,29 +94,10 @@ class TestWriteReport:
 
 
 class TestDatasetSummary:
-    def test_boundary_table_log_moments_null(self):
-        t = build_table([(0, 0, 3), (1, 2, 4), (2, 1, 1)], Domain.BOUNDARIES)
-        summary = dataset_summary(t)
-        assert summary["moments"]["log_x"] is None
-        assert summary["correlation"]["log"] is None
-        assert "mal_curve" not in summary
-
-    def test_log_moments_null_per_axis(self):
-        # Zeros in x only: log x has no moments, log z keeps its own.
-        t = build_table([(0, 1, 3), (1, 2, 4), (2, 5, 1)], Domain.BOUNDARIES)
-        summary = dataset_summary(t)
-        _, ez = expand(t)
-        assert summary["moments"]["log_x"] is None
-        log_z = summary["moments"]["log_z"]
-        assert log_z["mean"] == pytest.approx(np.log(ez).mean(), abs=1e-12)
-        assert log_z["sd"] == pytest.approx(np.log(ez).std(), abs=1e-12)
-        assert summary["correlation"]["log"] is None
-        assert summary["correlation"]["raw"] is not None
-
     def test_segment_table_carries_curve(self):
         rng = np.random.default_rng(63)
         t = random_table(rng)
-        summary = dataset_summary(t)
+        summary = compare(t, []).dataset
         curve = empirical_mal_curve(t)
         assert [p["x"] for p in summary["mal_curve"]] == [int(x) for x in curve.xs]
 
@@ -239,6 +165,14 @@ class TestCompare:
         for block in result.blocks:
             copula = block["model"] in result.copulas
             assert block.get("seed") == (5 if copula else None)
+
+    def test_every_block_ordered_flagged_and_scored(self):
+        t = random_table(np.random.default_rng(66))
+        result = compare(t, MODEL_ORDER[::-1])
+        assert [b["model"] for b in result.blocks] == list(MODEL_ORDER)
+        for block in result.blocks:
+            assert "space" in block or "estimator" in block
+            assert block["rss"] >= 0.0
 
     def test_unknown_model_rejected(self):
         t = random_table(np.random.default_rng(65))

@@ -1,6 +1,7 @@
 """Joint table construction, marginals, moments, correlation, MAL curve."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from menzerath import (
     weighted_moments,
 )
 
-from util import expand, random_table, scaled
+from util import expand, probability_table, random_table, scaled
 
 # Hypothesis strategy: valid segment-domain cell dictionaries.
 segment_cells = st.dictionaries(
@@ -38,6 +39,29 @@ segment_cells = st.dictionaries(
 
 def from_cells(cells, domain=Domain.SEGMENTS):
     return build_table([(x, z, n) for (x, z), n in cells.items()], domain)
+
+
+@pytest.mark.parametrize("table, columns", [
+    (build_table([(1, 2, 3), (1, 4, 1), (3, 3, 2)], Domain.SEGMENTS),
+     ("xs", "zs", "ns", "support_x", "support_z")),
+    (probability_table(Domain.BOUNDARIES, {(0, 1): 0.25, (0, 3): 0.5, (2, 0): 0.25}),
+     ("xs", "zs", "ps")),
+], ids=["counts", "probabilities"])
+def test_cell_columns_pickle_and_stay_read_only(table, columns):
+    copy = pickle.loads(pickle.dumps(table))
+    assert type(copy) is type(table) and copy.domain is table.domain
+    for name in columns:
+        assert getattr(copy, name).tolist() == getattr(table, name).tolist()
+        assert getattr(copy, name).dtype == getattr(table, name).dtype
+    for t in (table, copy):
+        for name in ("domain", *columns, "unknown"):
+            with pytest.raises(AttributeError):
+                setattr(t, name, None)
+        for name in columns:
+            column = getattr(t, name)
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[-1]
+        assert len(t.cells) == len(t.xs) == 3
 
 
 class TestBuildTable:
@@ -198,6 +222,17 @@ class TestWeightedMoments:
         with pytest.raises(LogOfNonpositive, match=cause):
             weighted_moments(t, Space.LOG).correlation()
 
+    def test_log_moments_null_per_axis(self):
+        # Zeros in x only: log x has no moments, log z keeps its own.
+        t = build_table([(0, 1, 3), (1, 2, 4), (2, 5, 1)], Domain.BOUNDARIES)
+        log = weighted_moments(t, Space.LOG)
+        _, ez = expand(t)
+        assert log.mean_x is None and log.sd_x is None
+        assert log.mean_z == pytest.approx(np.log(ez).mean(), abs=1e-12)
+        assert log.sd_z == pytest.approx(np.log(ez).std(), abs=1e-12)
+        assert log.rho is None
+        assert weighted_moments(t, Space.RAW).rho is not None
+
     def test_log_of_one_allowed(self):
         m = weighted_moments(from_cells({(1, 1): 5}), Space.LOG)
         assert m.mean_x == 0.0
@@ -248,7 +283,7 @@ class TestWeightedCorrelation:
         for _ in range(10):
             t = random_table(rng)
             swapped = build_table(
-                [(z, x, n) for x, z, n in t.sorted_cells()], Domain.BOUNDARIES
+                zip(t.zs.tolist(), t.xs.tolist(), t.ns.tolist()), Domain.BOUNDARIES
             )
             assert abs(
                 weighted_moments(t).rho

@@ -18,6 +18,7 @@ from menzerath import (
     EmptyConstituent,
     EmptyInput,
     JointFrequencyTable,
+    JointProbabilityTable,
     ParseError,
     build_table,
 )
@@ -37,8 +38,8 @@ def scaled(table: JointFrequencyTable, factor: int) -> JointFrequencyTable:
     Built from Python-int rows, so a count or total past 2**63 - 1
     raises the library's ``OverflowError``.
     """
-    rows = [(x, z, n * factor) for x, z, n in table.sorted_cells()]
-    return build_table(rows, table.domain)
+    ns = [n * factor for n in table.ns.tolist()]
+    return build_table(zip(table.xs.tolist(), table.zs.tolist(), ns), table.domain)
 
 
 def ols_normal_equations(x: np.ndarray, z: np.ndarray) -> tuple[float, float]:
@@ -146,6 +147,13 @@ def ref_to_boundaries(cells: dict) -> dict:
 
 def ref_from_boundaries(cells: dict) -> dict:
     return {(x + 1, z + x + 1): n for (x, z), n in cells.items()}
+
+
+def probability_table(domain: Domain, probabilities: dict) -> JointProbabilityTable:
+    """Model cells from an ``(x, z) -> probability`` mapping."""
+    keys = sorted(probabilities)
+    ps = [probabilities[k] for k in keys]
+    return JointProbabilityTable(domain, [x for x, _ in keys], [z for _, z in keys], ps)
 
 
 def ref_infeasible_mass(probabilities: dict) -> float:
