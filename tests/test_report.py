@@ -37,6 +37,43 @@ def sample_report():
     return t, compare(t, ["altmann", "hyperbolic"])
 
 
+def full_report():
+    t = random_table(np.random.default_rng(66))
+    comparison = compare(t, MODEL_ORDER[::-1])
+    return t, comparison, json.loads(write_report(comparison, 10))
+
+
+class TestComparisonReport:
+    """The blocks of a report, for every model of MODEL_ORDER.
+
+    ``compare`` is the only source of report blocks, so the name, order,
+    flag and rss guarantees of a report are checked on what it returns.
+    """
+
+    def test_blocks_reordered_canonically(self):
+        _, comparison, payload = full_report()
+        assert [b["model"] for b in comparison.blocks] == list(MODEL_ORDER)
+        assert [b["model"] for b in payload["models"]] == list(MODEL_ORDER)
+
+    def test_unknown_model_rejected(self):
+        t, _, _ = full_report()
+        with pytest.raises(ValueError, match="mystery"):
+            compare(t, ["mystery"])
+
+    def test_negative_rss_rejected(self):
+        _, comparison, payload = full_report()
+        for block, written in zip(comparison.blocks, payload["models"]):
+            assert block["rss"] >= 0.0
+            assert written["rss"] == block["rss"]
+
+    def test_block_must_name_space_or_estimator(self):
+        _, comparison, payload = full_report()
+        for block in payload["models"]:
+            copula = block["model"] in comparison.copulas
+            assert ("estimator" in block) == copula
+            assert ("space" in block) != copula
+
+
 class TestWriteReport:
     def test_byte_identical_across_runs(self):
         t, comparison = sample_report()
@@ -165,14 +202,6 @@ class TestCompare:
         for block in result.blocks:
             copula = block["model"] in result.copulas
             assert block.get("seed") == (5 if copula else None)
-
-    def test_every_block_ordered_flagged_and_scored(self):
-        t = random_table(np.random.default_rng(66))
-        result = compare(t, MODEL_ORDER[::-1])
-        assert [b["model"] for b in result.blocks] == list(MODEL_ORDER)
-        for block in result.blocks:
-            assert "space" in block or "estimator" in block
-            assert block["rss"] >= 0.0
 
     def test_unknown_model_rejected(self):
         t = random_table(np.random.default_rng(65))
