@@ -112,8 +112,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_table(args):
     # newline="" keeps a lone "\r" inside its line, as the parsers do;
-    # they read the stream block by block.
-    with open(args.input, encoding="utf-8", newline="") as stream:
+    # they read the stream block by block.  utf-8-sig drops a leading
+    # byte-order mark and decodes every other byte as utf-8 does.
+    with open(args.input, encoding="utf-8-sig", newline="") as stream:
         if args.kind == "corpus":
             table = parse_segmented_corpus(stream, args.format)
         else:

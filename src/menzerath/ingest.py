@@ -10,15 +10,15 @@ input at a time besides the table it builds.
 
 import io
 import re
+import sys
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 import regex
 
 from .errors import EmptyConstituent, EmptyInput, ParseError
-from .table import Domain, JointFrequencyTable, _aggregate, _checked_rows, build_table
+from .table import Domain, JointFrequencyTable, _aggregate, _checked_rows
 
 __all__ = [
     "CorpusFormat",
@@ -46,7 +46,10 @@ _GRAPHEME = regex.compile(r"\X")
 # clusters in other ways.
 _PLAIN_RE = regex.compile(r"[\p{GCB=Other}--\p{ExtPict}--\p{InCB=Consonant}]", regex.V1)
 _EXTENDER_RE = regex.compile(r"[\p{GCB=Extend}\p{GCB=SpacingMark}\p{GCB=ZWJ}]")
-_PLAIN, _EXTENDER, _OTHER = range(3)
+# Flags of a code point in a parse's kind table; one without a flag is
+# plain.
+_EXTENDER, _DELIMITER, _SUBDELIMITER, _OTHER, _SPACE, _COMMENT = 1, 2, 4, 8, 16, 32
+_UNSEEN = 128
 # A strict table row: unsigned ASCII digits, at most 18 of them, so every
 # value fits in int64 and numpy reads it as int() would.
 _STRICT_ROW = re.compile(r"[0-9]{1,18},[0-9]{1,18},[0-9]{1,18}")
@@ -258,76 +261,148 @@ def _line_key(number: int, line: str, stripped: str, fmt: CorpusFormat):
     return len(constituents), z
 
 
-class _CodeClasses(dict):
-    """Class of each code point seen in a parse, classified on first sight."""
+class _CodeKinds:
+    """Flags of every code point, classified on first sight in a parse.
 
-    def __missing__(self, char: str) -> int:
-        cls = self[char] = (
-            _PLAIN if _PLAIN_RE.fullmatch(char)
-            else _EXTENDER if _EXTENDER_RE.fullmatch(char)
-            else _OTHER
-        )
-        return cls
+    A lookup table over all of Unicode, so a block's flags are one
+    gather.  Each delimiter carries its own flag whatever its grapheme
+    class, since no constituent holds it; ``\\n`` carries none, since
+    it only ends lines.
+    """
+
+    def __init__(self, fmt: CorpusFormat):
+        self.delimiters = {fmt.constituent_delimiter: _DELIMITER}
+        if fmt.subconstituent_delimiter is not None:
+            self.delimiters[fmt.subconstituent_delimiter] = _SUBDELIMITER
+        self.table = np.full(sys.maxunicode + 1, _UNSEEN, dtype=np.uint8)
+        self.table[ord("\n")] = 0
+
+    def __call__(self, units: np.ndarray) -> np.ndarray:
+        flags = self.table.take(units)
+        unseen = flags == _UNSEEN
+        if unseen.any():
+            for code in np.unique(units[unseen]).tolist():
+                self.table[code] = self._classify(chr(code))
+            flags = self.table.take(units)
+        return flags
+
+    def _classify(self, char: str) -> int:
+        flags = _SPACE if char.isspace() else 0
+        if char == COMMENT_PREFIX:
+            flags |= _COMMENT
+        if char in self.delimiters:
+            return flags | self.delimiters[char]
+        if _PLAIN_RE.fullmatch(char):
+            return flags
+        return flags | (_EXTENDER if _EXTENDER_RE.fullmatch(char) else _OTHER)
 
 
-def _distinct_chars(text: str) -> list[str]:
-    """The distinct characters of ``text``, found in one numpy pass."""
+class _Cells:
+    """``(x, z, count)`` columns of a parse, summed into one table.
+
+    Columns arrive a block at a time and are summed as soon as the rows
+    held are more than twice the rows of the last sum, so memory follows
+    the table and one block, not the corpus, and the sums take time
+    linear in the rows added.
+    """
+
+    def __init__(self):
+        self.columns = []  # int64 (xs, zs, ns) columns
+        self.rows = 0  # rows held in columns
+        self.summed = 0  # rows after the last sum
+
+    def add(self, xs: np.ndarray, zs: np.ndarray, ns: np.ndarray) -> None:
+        if len(xs):
+            self.columns.append((xs, zs, ns))
+            self.rows += len(xs)
+            if self.rows > 2 * self.summed:
+                table = self.table()
+                self.columns = [(table.xs, table.zs, table.ns)]
+                self.rows = self.summed = len(table.xs)
+
+    def table(self) -> JointFrequencyTable:
+        if not self.columns:
+            raise EmptyInput("no construct lines in input")
+        return _aggregate(*map(np.concatenate, zip(*self.columns)), Domain.SEGMENTS)
+
+
+def _screen(flags: np.ndarray, ends: np.ndarray, fmt: CorpusFormat):
+    """Keys of the lines a block's flags count, and the other lines' indices.
+
+    A line is counted from its flags unless it is a comment, its first
+    or last code point is a space (so ``strip`` changes it), or it may
+    hold an empty unit or one that \\X counts otherwise: it opens with a
+    code point that cannot open a unit (a delimiter; in chars mode an
+    extender too), ends with a delimiter, holds a delimiter followed by
+    such a code point, or, in chars mode, holds an other code point.
+    The others are returned in line order, blank lines left out.  A
+    counted line has x = delimiters + 1 and z = length - delimiters -
+    extenders in chars mode (one cluster per plain code point), or
+    z = subconstituent delimiters + x in delimited mode.
+    """
+    chars = fmt.subconstituent_delimiter is None
+    split = _DELIMITER if chars else _DELIMITER | _SUBDELIMITER
+    closed = split | _EXTENDER if chars else split  # cannot open a unit
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    # A blank line's first and last code points read as the flagless
+    # "\n" at either side of it (the block's last one before the first),
+    # so a blank line is never slow.
+    slow = (
+        flags[starts] & (_SPACE | _COMMENT | closed)
+        | flags[ends - 1] & (_SPACE | split)
+        | np.bitwise_or.reduceat(flags, starts) & (_OTHER if chars else 0)
+    ) != 0
+    fast = (starts < ends) & ~slow
+    if not fast.any():  # as in scripts whose lines nearly all hold an other
+        none = np.empty(0, dtype=np.int64)
+        return none, none, np.flatnonzero(slow).tolist()
+    splits = np.flatnonzero((flags & split) != 0)
+    # The block ends with "\n", so every split has a next code point.
+    slow[np.searchsorted(ends, splits[(flags[splits + 1] & closed) != 0])] = True
+    fast &= ~slow
+
+    def count(positions):
+        """How many of the sorted ``positions`` each counted line holds."""
+        return np.diff(np.searchsorted(positions, ends), prepend=0)[fast]
+
+    if chars:
+        xs = count(splits) + 1
+        extenders = np.flatnonzero((flags & _EXTENDER) != 0)
+        zs = (ends - starts)[fast] - (xs - 1) - count(extenders)
+    else:
+        xs = count(np.flatnonzero((flags & _DELIMITER) != 0)) + 1
+        zs = count(splits) + 1
+    return xs, zs, np.flatnonzero(slow).tolist()
+
+
+def _count_block(
+    first: int, lines: list[str], fmt: CorpusFormat, kinds: _CodeKinds, cells: _Cells
+) -> None:
+    """Add the key of every construct line of one block to ``cells``.
+
+    :func:`_screen` counts most lines from one flag array of the block;
+    the rest go through :func:`_line_key` in line order, so the earliest
+    bad line raises.
+    """
+    text = "\n".join(lines) + "\n"
     units = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-    return [chr(c) for c in np.flatnonzero(np.bincount(units)).tolist()]
-
-
-def _block_keys(first: int, lines: list[str], fmt: CorpusFormat, classes) -> list:
-    """The ``(x, z)`` key of every construct line of one block."""
-    keys, rest = [], range(len(lines))
-    delim = fmt.constituent_delimiter
-    if fmt.subconstituent_delimiter is None and classes[delim] == _PLAIN:
-        keys, rest = _plain_keys(lines, delim, classes)
+    ends = np.flatnonzero(units == 10)
+    if len(ends) == len(lines):
+        xs, zs, rest = _screen(kinds(units), ends, fmt)
+        cells.add(xs, zs, np.ones_like(xs))
+    else:  # an item of an iterable held a "\n"
+        rest = range(len(lines))
+    keys = []
     for i in rest:
         line = lines[i]
         stripped = line.strip()
         if stripped and not stripped.startswith(COMMENT_PREFIX):
             keys.append(_line_key(first + i, line, stripped, fmt))
-    return keys
-
-
-def _plain_keys(lines: list[str], delim: str, classes) -> tuple[list, Sequence[int]]:
-    """The keys of the plain lines, and the indices of the other lines.
-
-    A block that holds an other code point has no plain lines: the
-    screening would cost more than it saves on scripts (Devanagari,
-    Hangul) whose lines nearly all hold one.  Otherwise a plain line is
-    one whose constituents each start with a plain code point, so it has
-    one cluster per plain code point: z = length - delimiters -
-    extenders.  The extenders are counted by deleting them from the
-    whole block.  The indices returned are those of every other
-    non-blank line, comments included, in line order.
-    """
-    text = "\n".join(lines)
-    chars = _distinct_chars(text)
-    if any(classes[c] == _OTHER for c in chars if c != "\n"):
-        return [], range(len(lines))
-    extenders = [c for c in chars if classes[c] == _EXTENDER]
-    bare = text
-    for char in extenders:
-        bare = bare.replace(char, "")
-    bare_lines = bare.split("\n")
-    if len(bare_lines) != len(lines):  # an item of an iterable held a "\n"
-        return [], range(len(lines))
-    openers = {COMMENT_PREFIX, delim, *extenders}
-    # An empty constituent, or one that opens with an extender.
-    inner = re.compile(f"{re.escape(delim)}[{re.escape(delim + ''.join(extenders))}]")
-    check = bool(inner.search(text))
-    keys, rest = [], []
-    for i, (line, bare_line) in enumerate(zip(lines, bare_lines)):
-        s = line.strip()
-        if not s:
-            continue
-        if s[0] in openers or s[-1] == delim or check and inner.search(s):
-            rest.append(i)
-            continue
-        k = s.count(delim)
-        keys.append((k + 1, len(s) - k - len(line) + len(bare_line)))
-    return keys, rest
+    if keys:
+        rows = [(x, z, n) for (x, z), n in Counter(keys).items()]
+        cells.add(*np.array(rows, dtype=np.int64).T)
 
 
 def parse_segmented_corpus(
@@ -342,10 +417,7 @@ def parse_segmented_corpus(
     :class:`EmptyConstituent` with the line number.  Accepts a string,
     a text stream or an iterable of lines, read block by block.
     """
-    counts = Counter()
-    classes = _CodeClasses()  # kept across the blocks of this parse
+    kinds, cells = _CodeKinds(fmt), _Cells()
     for first, lines in _blocks(stream):
-        counts.update(_block_keys(first, lines, fmt, classes))
-    if not counts:
-        raise EmptyInput("no construct lines in input")
-    return build_table(((x, z, n) for (x, z), n in counts.items()), Domain.SEGMENTS)
+        _count_block(first, lines, fmt, kinds, cells)
+    return cells.table()

@@ -259,6 +259,24 @@ class TestFit:
         curve = json.loads((out / "report.json").read_text())["dataset"]["mal_curve"]
         assert [(p["x"], p["n"]) for p in curve] == [(1, 1.0), (2, 1.0), (3, 1.0)]
 
+    @pytest.mark.parametrize("kind, text", [
+        ("table", TABLE),
+        ("corpus", "ka-ta\nab-cde\nab\nabc-de-fg\nab-cd\nabcd\n"),
+    ], ids=["table", "corpus"])
+    def test_leading_byte_order_mark_is_skipped(self, kind, text, tmp_path):
+        datasets = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            path = tmp_path / f"input-{len(bom)}.txt"
+            path.write_bytes(bom + text.encode("utf-8"))
+            out = tmp_path / f"out-{len(bom)}"
+            result = run(
+                "fit", "--input", str(path), "--kind", kind,
+                "--models", "hyperbolic", "--out", str(out),
+            )
+            assert result.returncode == 0, result.stderr
+            datasets.append(json.loads((out / "report.json").read_text())["dataset"])
+        assert datasets[0] == datasets[1]
+
     def test_boundary_domain_table_converted(self, tmp_path):
         path = tmp_path / "b.csv"
         path.write_text("#domain=boundaries\n0,1,5\n1,3,5\n2,4,2\n", encoding="utf-8")

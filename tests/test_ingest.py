@@ -3,6 +3,7 @@
 import io
 import os
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -23,6 +24,8 @@ from menzerath import (
     write_frequency_table,
 )
 from util import ref_corpus, ref_frequency_table
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 table_strategy = st.builds(
     lambda cells, boundaries: build_table(
@@ -254,9 +257,12 @@ class TestCarriers:
         assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
+# Spaces that str.strip removes but \X counts as plain code points.
+_PLAIN_SPACES = [" ", "\u3000", "\xa0", "\u2009", "\u202f"]
 # One code point of every grapheme cluster break class (CR and LF come
 # as line ends), a conjunct consonant and its virama (GB9c), the
-# delimiter, the comment prefix and two kinds of space.
+# delimiter, a delimiter before an extender, the comment prefix, a
+# byte-order mark and several kinds of space.
 _CLUSTER_ALPHABET = [
     "a",  # Other: a plain code point
     "\u0301",  # Extend
@@ -264,17 +270,22 @@ _CLUSTER_ALPHABET = [
     "\u0903",  # SpacingMark
     "\u0600",  # Prepend
     "\t",  # Control
+    "\ufeff",  # Control, and not a space to str.strip
     "\u1100", "\u1161", "\u11a8", "\uac00", "\uac01",  # L, V, T, LV, LVT
     "\U0001f1e6",  # Regional_Indicator
     "\U0001f600",  # Extended_Pictographic
     "\u0915",  # InCB=Consonant
     "\u094d",  # InCB=Linker
-    "-", "#", " ", "\u3000", "\r", "\r\n", "\n",
+    "-", "-\u0301", "#", *_PLAIN_SPACES, "\r", "\r\n", "\n",
 ]
 # Lines made of these alone can be counted without \X, so half of the
 # texts are drawn from them.
-_PLAIN_ALPHABET = ["a", "b", "\u0301", "\u200d", "\u0903", "\u094d", "-", " ",
-                   "\u3000", "\n"]
+_PLAIN_ALPHABET = ["a", "b", "\u0301", "\u200d", "\u0903", "\u094d", "-", "-\u0301",
+                   *_PLAIN_SPACES, "\n"]
+# Delimited mode splits on the two delimiters alone, whatever the
+# grapheme classes of the code points around them.
+_DELIMITED_ALPHABET = ["a", "b", "\u0301", "\u0915", "\ufeff", "-", ".", "#",
+                       *_PLAIN_SPACES, "\t", "\r", "\r\n", "\n"]
 _cluster_texts = st.one_of(
     st.lists(st.sampled_from(alphabet), max_size=40).map("".join)
     for alphabet in (_CLUSTER_ALPHABET, _PLAIN_ALPHABET)
@@ -299,6 +310,8 @@ class TestBlocks:
     @example("a-\u0301b\n\u0301a\na \u0301-b\n", 1 << 16)  # extenders opening units
     @example("\u0915\u094d\u0937-a\r\nab-\u1100\u1161\r\r\nx\r", 5)
     @example("a-b\na--b\n", 1 << 16)  # an empty unit after a plain line
+    @example("ab-c\u0301\n\u0915\u094d\u0937-a\nd-e\n", 1 << 16)  # Latin, Devanagari
+    @example("a\n \xa0\t\n\u3000\nb-c\n", 1 << 16)  # whitespace-only lines
     @settings(max_examples=300, deadline=None)
     def test_corpus_matches_cluster_reference(self, text, block):
         with mock.patch.object(ingest, "_BLOCK", block):
@@ -306,6 +319,39 @@ class TestBlocks:
                 got = _outcome(parse_segmented_corpus, source)
                 want = _outcome(lambda s: _as_table(ref_corpus(s)), reference)
                 assert got == want, (text, block)
+
+    @given(st.lists(st.sampled_from(_DELIMITED_ALPHABET), max_size=40).map("".join),
+           st.integers(1, 12))
+    @example("m.en-z.e.r\n.a\na.\na-.b\na.-b\n", 1 << 16)  # units at every edge
+    @example("a.b\n# c..d\n \t\n a-b \na..b\n", 1 << 16)  # an empty unit last
+    @settings(max_examples=300, deadline=None)
+    def test_delimited_corpus_matches_split_reference(self, text, block):
+        fmt = CorpusFormat(subconstituent_delimiter=".")
+        with mock.patch.object(ingest, "_BLOCK", block):
+            for source, reference in zip(_line_carriers(text), _line_carriers(text)):
+                got = _outcome(lambda s: parse_segmented_corpus(s, fmt), source)
+                want = _outcome(
+                    lambda s: _as_table(ref_corpus(s, subdelimiter=".")), reference
+                )
+                assert got == want, (text, block)
+
+    @pytest.mark.parametrize("fmt", [
+        CorpusFormat(), CorpusFormat(subconstituent_delimiter="."),
+    ], ids=["chars", "delimited"])
+    def test_plain_lines_are_counted_without_line_key(self, fmt):
+        # A fallback that kept the table but lost the screen fails here.
+        with mock.patch.object(ingest, "_line_key", wraps=ingest._line_key) as line_key:
+            with open(DATA / "syllables_synthetic.txt", encoding="utf-8",
+                      newline="") as stream:
+                parse_segmented_corpus(stream, fmt)
+        assert line_key.call_count == 0
+
+    def test_line_key_counts_only_the_lines_that_need_it(self):
+        text = "ka-t\u0301a\n\u0915\u094d\u0937-\u0915\u093e\n" * 40
+        with mock.patch.object(ingest, "_line_key", wraps=ingest._line_key) as line_key:
+            t = parse_segmented_corpus(text)
+        assert line_key.call_count == 40
+        assert t.cells == {(2, 4): 40, (2, 2): 40}
 
     @pytest.mark.parametrize("block", [1, 3, 1 << 16])
     def test_conjunct_is_one_cluster(self, block):

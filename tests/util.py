@@ -197,8 +197,12 @@ def ref_lines(source) -> list[str]:
     return [line[:-1] if line.endswith("\r") else line for line in lines]
 
 
-def ref_corpus(source, delimiter: str = "-") -> dict:
-    """``(x, z) -> count`` of a corpus, ``\\X`` clusters constituent by constituent."""
+def ref_corpus(source, delimiter: str = "-", subdelimiter: str | None = None) -> dict:
+    """``(x, z) -> count`` of a corpus, counted constituent by constituent.
+
+    The subconstituents are the ``\\X`` clusters, or with a
+    ``subdelimiter`` the parts ``str.split`` makes, none of them empty.
+    """
     cells: dict[tuple[int, int], int] = {}
     for number, line in enumerate(ref_lines(source), start=1):
         stripped = line.strip()
@@ -207,7 +211,13 @@ def ref_corpus(source, delimiter: str = "-") -> dict:
         constituents = stripped.split(delimiter)
         if "" in constituents:
             raise EmptyConstituent(number, line)
-        z = sum(len(regex.findall(r"\X", c)) for c in constituents)
+        if subdelimiter is None:
+            z = sum(len(regex.findall(r"\X", c)) for c in constituents)
+        else:
+            parts = [p for c in constituents for p in c.split(subdelimiter)]
+            if "" in parts:
+                raise EmptyConstituent(number, line)
+            z = len(parts)
         cells[(len(constituents), z)] = cells.get((len(constituents), z), 0) + 1
     if not cells:
         raise EmptyInput("no construct lines in input")
