@@ -4,8 +4,9 @@ Two input carriers exist: delimited frequency-table files (rows of
 ``x, z, count``) and segmented text corpora (one construct per line,
 constituents split by a delimiter).  Segmentation itself is the user's
 input; no syllabification or morphological analysis happens here.
-Both are read in blocks of lines, so a parse holds one block of the
-input at a time besides the table it builds.
+Both are read in blocks of whole lines, and each block's rows or keys
+are summed into the table as the parse goes, so a parse holds one block
+of the input at a time besides the table it builds.
 """
 
 import io
@@ -18,7 +19,15 @@ import numpy as np
 import regex
 
 from .errors import EmptyConstituent, EmptyInput, ParseError
-from .table import Domain, JointFrequencyTable, _aggregate, _checked_rows
+from .table import (
+    MAX_COUNT,
+    Domain,
+    JointFrequencyTable,
+    _check_total,
+    _checked_rows,
+    _exact_sum,
+    _sum_rows,
+)
 
 __all__ = [
     "CorpusFormat",
@@ -50,10 +59,9 @@ _EXTENDER_RE = regex.compile(r"[\p{GCB=Extend}\p{GCB=SpacingMark}\p{GCB=ZWJ}]")
 # plain.
 _EXTENDER, _DELIMITER, _SUBDELIMITER, _OTHER, _SPACE, _COMMENT = 1, 2, 4, 8, 16, 32
 _UNSEEN = 128
-# A strict table row: unsigned ASCII digits, at most 18 of them, so every
-# value fits in int64 and numpy reads it as int() would.
-_STRICT_ROW = re.compile(r"[0-9]{1,18},[0-9]{1,18},[0-9]{1,18}")
-_STRICT_ROWS = re.compile(rf"(?:{_STRICT_ROW.pattern}\n)*")
+# A run of strict table rows: unsigned ASCII digits, at most 18 of them,
+# so every value fits in int64 and numpy reads it as int() would.
+_STRICT_RUN = re.compile(r"(?m)^((?:[0-9]{1,18},[0-9]{1,18},[0-9]{1,18}\n)+)")
 
 
 @dataclass(frozen=True)
@@ -81,20 +89,24 @@ class CorpusFormat:
 
 
 def _blocks(stream):
-    """``(first line number, lines)`` blocks of about ``_BLOCK`` characters.
+    """``(first line number, text)`` blocks of about ``_BLOCK`` characters.
 
-    Lines end at ``\n`` only, less one ``\r``.  A string and a text
-    stream split the same way (``str.splitlines`` and a universal-newlines
-    stream would also split at ``\r``, U+2028 and other separators); a
-    stream is read ``_BLOCK`` characters at a time and cut after the last
-    ``\n``.  Any other iterable yields its items as lines.
+    The text is whole lines, each ending in ``\n``.  Lines end at ``\n``
+    only, less one ``\r``: a string and a text stream split the same way
+    (``str.splitlines`` and a universal-newlines stream would also split
+    at ``\r``, U+2028 and other separators).  A stream is read ``_BLOCK``
+    characters at a time and cut after the last ``\n``.  Any other
+    iterable yields its items as lines; a block in which an item holds a
+    ``\n`` comes as its list of lines, so that item stays one line.
     """
     if isinstance(stream, str):
         chunks = (stream[i : i + _BLOCK] for i in range(0, len(stream), _BLOCK))
     elif isinstance(stream, io.TextIOBase):
         chunks = iter(lambda: stream.read(_BLOCK), "")
     else:
-        yield from _item_blocks(stream)
+        for number, lines in _item_blocks(stream):
+            text = "\n".join(lines) + "\n"
+            yield number, lines if text.count("\n") > len(lines) else text
         return
     number, pieces = 1, []
     for chunk in chunks:
@@ -103,22 +115,20 @@ def _blocks(stream):
             pieces.append(chunk)
             continue
         pieces.append(chunk[:cut])
-        lines = "".join(pieces).replace("\r\n", "\n").split("\n")
-        lines.pop()  # the empty rest after the final "\n"
-        yield number, lines
-        number += len(lines)
+        text = "".join(pieces).replace("\r\n", "\n")
+        yield number, text
+        number += text.count("\n")
         pieces = [chunk[cut:]]
     last = "".join(pieces)
     if last:
-        yield number, [last[:-1] if last.endswith("\r") else last]
+        yield number, last.removesuffix("\r") + "\n"
 
 
 def _item_blocks(items):
     number, lines, size = 1, [], 0
     for item in items:
-        line = item[:-1] if item.endswith("\n") else item
-        lines.append(line[:-1] if line.endswith("\r") else line)
-        size += len(line)
+        lines.append(item.removesuffix("\n").removesuffix("\r"))
+        size += len(item)
         if size >= _BLOCK:
             yield number, lines
             number, lines, size = number + len(lines), [], 0
@@ -126,67 +136,86 @@ def _item_blocks(items):
         yield number, lines
 
 
-class _TableRows:
-    """Rows of a frequency table, checked in line order as they arrive."""
+class _Cells:
+    """Valid ``(x, z, count)`` int64 columns of a parse, summed into one table.
 
-    def __init__(self):
+    Columns arrive a block at a time and are summed as soon as the rows
+    held are more than twice the rows of the last sum, so memory follows
+    the table and one block, not the input, and the sums take time
+    linear in the rows added.  Once the exact total passes 2**63 - 1 no
+    more rows are held and :meth:`table` raises, so that an error on a
+    later line is still the one reported.
+    """
+
+    def __init__(self, empty: str):
         self.domain = Domain.SEGMENTS
-        self.columns = []  # checked (xs, zs, ns) int64 columns
-        self.seen = False  # a data row has been read
+        self.empty = empty  # the EmptyInput message of a parse without rows
+        self.columns = []  # int64 (xs, zs, ns) columns
+        self.rows = 0  # rows held in columns
+        self.summed = 0  # rows after the last sum
+        self.total = 0  # exact sum of the counts added; every count is >= 1
 
-    def scan(self, first: int, lines) -> ParseError | None:
-        """Read ``lines`` row by row; the error on the first malformed one."""
-        xs, zs, ns, numbers = [], [], [], []
-        failure = None
-        for number, line in enumerate(lines, start=first):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if stripped.startswith(COMMENT_PREFIX):
-                directive = stripped.replace(" ", "").lower()
-                if directive in _DOMAIN_DIRECTIVES:
-                    if self.seen or numbers:
-                        failure = ParseError(
-                            number, line, "domain directive must precede data"
-                        )
-                        break
-                    self.domain = _DOMAIN_DIRECTIVES[directive]
-                continue
-            sep = "\t" if "\t" in stripped else ","
-            fields = [f.strip() for f in stripped.split(sep)]
-            if not (self.seen or numbers) and (
-                [f.lower() for f in fields] == ["x", "z", "count"]
-            ):
-                continue
-            if len(fields) != 3:
-                failure = ParseError(
-                    number, line, f"expected 3 fields, got {len(fields)}"
-                )
-                break
-            try:
-                x, z, n = map(int, fields)
-            except ValueError:
-                failure = ParseError(number, line, "fields must be integers")
-                break
-            xs.append(x)
-            zs.append(z)
-            ns.append(n)
-            numbers.append(number)
-        # The rows before a malformed line are checked first, so the error
-        # reported is always the one on the earliest bad line.
-        self._add(xs, zs, ns, numbers)
-        return failure
+    def add(self, xs: np.ndarray, zs: np.ndarray, ns: np.ndarray) -> None:
+        self.total += _exact_sum(ns)
+        if len(xs) and self.total <= MAX_COUNT:
+            self.columns.append((xs, zs, ns))
+            self.rows += len(xs)
+            if self.rows > 2 * self.summed:
+                self._sum()
 
-    def add_strict(self, first: int, body: str) -> None:
-        """Add the rows of a body that ``_STRICT_ROWS`` matches, in one pass."""
-        values = np.fromstring(body.replace("\n", ","), dtype=np.int64, sep=",")
-        xs, zs, ns = values.reshape(-1, 3).T
-        self._add(xs, zs, ns, range(first, first + len(xs)))
+    def _sum(self) -> None:
+        self.columns = [_sum_rows(*map(np.concatenate, zip(*self.columns)))]
+        self.rows = self.summed = len(self.columns[0][0])
 
-    def _add(self, xs, zs, ns, numbers) -> None:
-        if len(numbers):
-            self.columns.append(_checked_rows(xs, zs, ns, self.domain, lines=numbers))
-            self.seen = True
+    def table(self) -> JointFrequencyTable:
+        if not self.total:
+            raise EmptyInput(self.empty)
+        _check_total(self.total)
+        self._sum()
+        return JointFrequencyTable(self.domain, *self.columns[0])
+
+
+def _scan_rows(first: int, lines, cells: _Cells) -> None:
+    """Add ``lines`` row by row; raise the error of the first malformed one."""
+    xs, zs, ns, numbers = [], [], [], []
+    failure = None
+    for number, line in enumerate(lines, start=first):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped.startswith(COMMENT_PREFIX):
+            directive = stripped.replace(" ", "").lower()
+            if directive in _DOMAIN_DIRECTIVES:
+                if cells.total or numbers:
+                    failure = ParseError(
+                        number, line, "domain directive must precede data"
+                    )
+                    break
+                cells.domain = _DOMAIN_DIRECTIVES[directive]
+            continue
+        sep = "\t" if "\t" in stripped else ","
+        fields = [f.strip() for f in stripped.split(sep)]
+        if not (cells.total or numbers) and (
+            [f.lower() for f in fields] == ["x", "z", "count"]
+        ):
+            continue
+        if len(fields) != 3:
+            failure = ParseError(number, line, f"expected 3 fields, got {len(fields)}")
+            break
+        try:
+            x, z, n = map(int, fields)
+        except ValueError:
+            failure = ParseError(number, line, "fields must be integers")
+            break
+        xs.append(x)
+        zs.append(z)
+        ns.append(n)
+        numbers.append(number)
+    # The rows before a malformed line are checked first, so the error
+    # reported is always the one on the earliest bad line.
+    cells.add(*_checked_rows(xs, zs, ns, cells.domain, lines=numbers))
+    if failure is not None:
+        raise failure
 
 
 def parse_frequency_table(stream) -> JointFrequencyTable:
@@ -200,28 +229,26 @@ def parse_frequency_table(stream) -> JointFrequencyTable:
     line number on malformed rows, :class:`InvalidPair` on domain
     violations, and :class:`EmptyInput` when no data rows are present.
     """
-    rows = _TableRows()
-    for first, lines in _blocks(stream):
-        # Header, comments and directive go row by row up to the first
-        # strict row; from there the longest strict run is converted at
-        # once, and whatever follows it goes row by row again.
-        head = 0
-        while head < len(lines) and not _STRICT_ROW.fullmatch(lines[head]):
-            head += 1
-        body = "\n".join(lines[head:]) + "\n"
-        if body.count("\n") != len(lines) - head:  # an iterable's item held a "\n"
-            head = len(lines)
-        failure = rows.scan(first, lines[:head])
-        if failure is None and head < len(lines):
-            end = _STRICT_ROWS.match(body).end()
-            run = body.count("\n", 0, end)
-            rows.add_strict(first + head, body[: end - 1])
-            failure = rows.scan(first + head + run, lines[head + run :])
-        if failure is not None:
-            raise failure
-    if not rows.seen:
-        raise EmptyInput("no data rows in input")
-    return _aggregate(*map(np.concatenate, zip(*rows.columns)), rows.domain)
+    cells = _Cells("no data rows in input")
+    for first, text in _blocks(stream):
+        if isinstance(text, list):  # an iterable's item held a "\n"
+            _scan_rows(first, text, cells)
+            continue
+        # Text alternates gaps and runs of strict rows.  A run is converted
+        # in one numpy call; a gap (header, comments, directive, any other
+        # row) goes row by row.
+        for i, piece in enumerate(_STRICT_RUN.split(text)):
+            if i % 2:
+                values = np.fromstring(piece[:-1].replace("\n", ","), np.int64, sep=",")
+                xs, zs, ns = values.reshape(-1, 3).T
+                numbers = range(first, first + len(xs))
+                cells.add(*_checked_rows(xs, zs, ns, cells.domain, lines=numbers))
+                first += len(xs)
+            else:
+                lines = piece.split("\n")[:-1]
+                _scan_rows(first, lines, cells)
+                first += len(lines)
+    return cells.table()
 
 
 def write_frequency_table(table: JointFrequencyTable) -> str:
@@ -297,36 +324,9 @@ class _CodeKinds:
         return flags | (_EXTENDER if _EXTENDER_RE.fullmatch(char) else _OTHER)
 
 
-class _Cells:
-    """``(x, z, count)`` columns of a parse, summed into one table.
-
-    Columns arrive a block at a time and are summed as soon as the rows
-    held are more than twice the rows of the last sum, so memory follows
-    the table and one block, not the corpus, and the sums take time
-    linear in the rows added.
-    """
-
-    def __init__(self):
-        self.columns = []  # int64 (xs, zs, ns) columns
-        self.rows = 0  # rows held in columns
-        self.summed = 0  # rows after the last sum
-
-    def add(self, xs: np.ndarray, zs: np.ndarray, ns: np.ndarray) -> None:
-        if len(xs):
-            self.columns.append((xs, zs, ns))
-            self.rows += len(xs)
-            if self.rows > 2 * self.summed:
-                table = self.table()
-                self.columns = [(table.xs, table.zs, table.ns)]
-                self.rows = self.summed = len(table.xs)
-
-    def table(self) -> JointFrequencyTable:
-        if not self.columns:
-            raise EmptyInput("no construct lines in input")
-        return _aggregate(*map(np.concatenate, zip(*self.columns)), Domain.SEGMENTS)
-
-
-def _screen(flags: np.ndarray, ends: np.ndarray, fmt: CorpusFormat):
+def _screen(
+    flags: np.ndarray, starts: np.ndarray, ends: np.ndarray, fmt: CorpusFormat
+):
     """Keys of the lines a block's flags count, and the other lines' indices.
 
     A line is counted from its flags unless it is a comment, its first
@@ -343,9 +343,6 @@ def _screen(flags: np.ndarray, ends: np.ndarray, fmt: CorpusFormat):
     chars = fmt.subconstituent_delimiter is None
     split = _DELIMITER if chars else _DELIMITER | _SUBDELIMITER
     closed = split | _EXTENDER if chars else split  # cannot open a unit
-    starts = np.empty_like(ends)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
     # A blank line's first and last code points read as the flagless
     # "\n" at either side of it (the block's last one before the first),
     # so a blank line is never slow.
@@ -357,7 +354,7 @@ def _screen(flags: np.ndarray, ends: np.ndarray, fmt: CorpusFormat):
     fast = (starts < ends) & ~slow
     if not fast.any():  # as in scripts whose lines nearly all hold an other
         none = np.empty(0, dtype=np.int64)
-        return none, none, np.flatnonzero(slow).tolist()
+        return none, none, np.flatnonzero(slow)
     splits = np.flatnonzero((flags & split) != 0)
     # The block ends with "\n", so every split has a next code point.
     slow[np.searchsorted(ends, splits[(flags[splits + 1] & closed) != 0])] = True
@@ -374,32 +371,34 @@ def _screen(flags: np.ndarray, ends: np.ndarray, fmt: CorpusFormat):
     else:
         xs = count(np.flatnonzero((flags & _DELIMITER) != 0)) + 1
         zs = count(splits) + 1
-    return xs, zs, np.flatnonzero(slow).tolist()
+    return xs, zs, np.flatnonzero(slow)
 
 
 def _count_block(
-    first: int, lines: list[str], fmt: CorpusFormat, kinds: _CodeKinds, cells: _Cells
+    first: int, text, fmt: CorpusFormat, kinds: _CodeKinds, cells: _Cells
 ) -> None:
     """Add the key of every construct line of one block to ``cells``.
 
-    :func:`_screen` counts most lines from one flag array of the block;
-    the rest go through :func:`_line_key` in line order, so the earliest
-    bad line raises.
+    :func:`_screen` counts most lines of the block's text from one flag
+    array; the rest, sliced out of the text, go through :func:`_line_key`
+    in line order, so the earliest bad line raises.  A block that comes
+    as a list of lines goes through :func:`_line_key` whole.
     """
-    text = "\n".join(lines) + "\n"
-    units = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-    ends = np.flatnonzero(units == 10)
-    if len(ends) == len(lines):
-        xs, zs, rest = _screen(kinds(units), ends, fmt)
+    if isinstance(text, str):
+        units = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+        ends = np.flatnonzero(units == 10)
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        xs, zs, rest = _screen(kinds(units), starts, ends, fmt)
         cells.add(xs, zs, np.ones_like(xs))
-    else:  # an item of an iterable held a "\n"
-        rest = range(len(lines))
+        bounds = zip(rest.tolist(), starts[rest].tolist(), ends[rest].tolist())
+        lines = ((first + i, text[a:b]) for i, a, b in bounds)
+    else:
+        lines = enumerate(text, start=first)
     keys = []
-    for i in rest:
-        line = lines[i]
+    for number, line in lines:
         stripped = line.strip()
         if stripped and not stripped.startswith(COMMENT_PREFIX):
-            keys.append(_line_key(first + i, line, stripped, fmt))
+            keys.append(_line_key(number, line, stripped, fmt))
     if keys:
         rows = [(x, z, n) for (x, z), n in Counter(keys).items()]
         cells.add(*np.array(rows, dtype=np.int64).T)
@@ -417,7 +416,7 @@ def parse_segmented_corpus(
     :class:`EmptyConstituent` with the line number.  Accepts a string,
     a text stream or an iterable of lines, read block by block.
     """
-    kinds, cells = _CodeKinds(fmt), _Cells()
-    for first, lines in _blocks(stream):
-        _count_block(first, lines, fmt, kinds, cells)
+    kinds, cells = _CodeKinds(fmt), _Cells("no construct lines in input")
+    for first, text in _blocks(stream):
+        _count_block(first, text, fmt, kinds, cells)
     return cells.table()

@@ -137,18 +137,25 @@ def _checked_rows(xs, zs, ns, domain: Domain, lines=None):
     return tuple(col.astype(np.int64, copy=False) for col in cols)
 
 
-def _exact_total(ns: np.ndarray) -> int:
-    """Exact sum of positive int64 counts; OverflowError past MAX_COUNT."""
+def _exact_sum(ns: np.ndarray) -> int:
+    """Exact sum of positive int64 counts, as a Python int."""
     # The float sum is far closer than a factor of two to the true sum,
     # so below 2**62 the int64 sum cannot wrap; above it Python ints
     # add exactly.
     if float(ns.sum(dtype=float)) < 2.0**62:
-        total = int(ns.sum())
-    else:
-        total = sum(ns.tolist())
+        return int(ns.sum())
+    return sum(ns.tolist())
+
+
+def _check_total(total: int) -> int:
     if total > MAX_COUNT:
         raise OverflowError("total count exceeds 2**63 - 1")
     return total
+
+
+def _exact_total(ns: np.ndarray) -> int:
+    """Exact sum of positive int64 counts; OverflowError past MAX_COUNT."""
+    return _check_total(_exact_sum(ns))
 
 
 def _run_starts(*keys: np.ndarray) -> np.ndarray:
@@ -295,16 +302,21 @@ class JointFrequencyTable(_CellColumns):
         return self.xs, self.zs, self.ns
 
 
-def _aggregate(xs, zs, ns, domain: Domain) -> JointFrequencyTable:
-    """Table of checked row columns; equal (x, z) rows are summed."""
-    # Every run sum below is at most the checked total, so none can wrap.
-    _exact_total(ns)
+def _sum_rows(xs, zs, ns):
+    """Distinct (x, z) of int64 row columns, ascending, and their summed counts.
+
+    The counts must total at most ``MAX_COUNT``, so no run sum can wrap.
+    """
     order = np.lexsort((zs, xs))
     xs, zs, ns = xs[order], zs[order], ns[order]
     starts = _run_starts(xs, zs)
-    return JointFrequencyTable(
-        domain, xs[starts], zs[starts], np.add.reduceat(ns, starts)
-    )
+    return xs[starts], zs[starts], np.add.reduceat(ns, starts)
+
+
+def _aggregate(xs, zs, ns, domain: Domain) -> JointFrequencyTable:
+    """Table of checked row columns; equal (x, z) rows are summed."""
+    _exact_total(ns)
+    return JointFrequencyTable(domain, *_sum_rows(xs, zs, ns))
 
 
 def build_table(pairs, domain: Domain) -> JointFrequencyTable:

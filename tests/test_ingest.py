@@ -3,6 +3,7 @@
 import io
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -392,6 +393,9 @@ class TestBlocks:
             "1,1,000000000000000001",
         ]),
     )), st.integers(1, 24))
+    @example("1,1,1\n1,2,3\n# c\n2,3,4\n2,2,1\n", 1 << 16)  # two strict runs, a comment
+    @example("1,1,1\n 1, 2, 3\n2,3,4\n", 1 << 16)  # a spaced row between two runs
+    @example("1,1,1\n1\t2\t3\n2,3,4\n", 1 << 16)  # a tab row between two runs
     @settings(max_examples=300, deadline=None)
     def test_table_matches_row_reference(self, text, block):
         with mock.patch.object(ingest, "_BLOCK", block):
@@ -414,6 +418,41 @@ class TestBlocks:
                 parse_frequency_table(io.StringIO(text, newline=""))
         with pytest.raises(error, match="line 44"):
             ref_frequency_table(text)
+
+    @pytest.mark.parametrize("block", [16, 1 << 16])
+    @pytest.mark.parametrize("bad, error", [
+        ("1,2", ParseError),      # malformed
+        ("3,2,1", InvalidPair),   # z < x
+    ])
+    def test_row_error_after_the_total_overflows(self, bad, error, block):
+        # Row errors come before the total's overflow, even when the
+        # running total has passed 2**63 - 1 before the bad row is read.
+        rows = "1,1,999999999999999999\n" * 10
+        text = rows + bad + "\n"
+        with mock.patch.object(ingest, "_BLOCK", block):
+            with pytest.raises(error, match="^line 11: "):
+                parse_frequency_table(text)
+            assert _outcome(parse_frequency_table, text) == \
+                _outcome(ref_frequency_table, text)
+            with pytest.raises(OverflowError, match="total count exceeds"):
+                parse_frequency_table(rows)
+
+    def test_memory_follows_the_block_not_the_rows(self):
+        # Repeated rows from a generator that is never held whole: the
+        # peak of a 300k-row parse is that of a 30k-row one.
+        rows = ["1,1,3\n", "1,2,1\n", "2,2,5\n", "2,4,2\n"]
+        peaks = []
+        for n in (30_000, 300_000):
+            tracemalloc.start()
+            try:
+                table = parse_frequency_table(rows[i % 4] for i in range(n))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            k = n // 4
+            assert table.cells == {(1, 1): 3 * k, (1, 2): k, (2, 2): 5 * k,
+                                   (2, 4): 2 * k}
+        assert peaks[1] - peaks[0] < 1 << 20, peaks
 
     def test_strict_body_without_final_newline_and_crlf(self):
         text = "x,z,count\r\n007,0010,3\r\n1,1,999999999999999999\r\n1,1,1"
