@@ -29,7 +29,7 @@ table = build_table(
      (3, 6, 5), (3, 7, 9), (3, 8, 4), (4, 9, 5), (4, 11, 2)],
     Domain.SEGMENTS,
 )
-print(f"hand-built table: {table.total} constructs, {len(table.cells)} cells")
+print(f"hand-built table: {table.total} constructs, {len(table.xs)} cells")
 
 # %% The Menzerath curve: mean constituent length y = E[z|x] / x per x.
 curve = empirical_mal_curve(table)

@@ -35,7 +35,7 @@ for estimator in Estimator:
 # %% Fit with the default (raw Pearson) and inspect the model cells.
 model = fit_copula(table)
 cells = cell_probabilities(model)
-print(f"model cells: {len(cells.cells)}, total mass {sum(cells.cells.values()):.12f}")
+print(f"model cells: {len(cells.xs)}, total mass {sum(cells.ps.tolist()):.12f}")
 
 # %% The copula keeps the marginals but, on the segment grid, puts some
 # mass on impossible cells (z < x); that defect is reported, never

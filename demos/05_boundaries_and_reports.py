@@ -24,8 +24,8 @@ table = parse_frequency_table((DATA / "menzerath_synthetic.csv").read_text())
 
 # %% The transform itself: a (2, 7) word has boundary counts (1, 5).
 boundary_table = to_boundaries(table)
-print(f"boundary table spans x' {min(x for x, _ in boundary_table.cells)}..."
-      f"{max(x for x, _ in boundary_table.cells)}")
+print(f"boundary table spans x' {int(boundary_table.support_x[0])}..."
+      f"{int(boundary_table.support_x[-1])}")
 
 # %% Plain copula vs boundary-space copula, fitted and scored side by
 # side; every copula block carries the seed of its samples.

@@ -19,15 +19,7 @@ import numpy as np
 import regex
 
 from .errors import EmptyConstituent, EmptyInput, ParseError
-from .table import (
-    MAX_COUNT,
-    Domain,
-    JointFrequencyTable,
-    _check_total,
-    _checked_rows,
-    _exact_sum,
-    _sum_rows,
-)
+from .table import Domain, JointFrequencyTable, _Cells, _checked_rows
 
 __all__ = [
     "CorpusFormat",
@@ -72,6 +64,7 @@ class CorpusFormat:
     ``subconstituent_delimiter`` of ``None`` selects character mode
     (every grapheme cluster is one subconstituent); a character selects
     delimited mode (subconstituents are explicitly marked, e.g. ``.``).
+    Neither may be ``\n``, which ends lines, or ``#``.
     """
 
     constituent_delimiter: str = "-"
@@ -84,6 +77,8 @@ class CorpusFormat:
         for d in delims:
             if len(d) != 1:
                 raise ValueError(f"delimiter must be a single character, got {d!r}")
+            if d == "\n":
+                raise ValueError("delimiters cannot be '\\n', which ends lines")
         if len(set(delims)) != len(delims) or COMMENT_PREFIX in delims:
             raise ValueError("delimiters must be distinct from each other and from '#'")
 
@@ -94,85 +89,33 @@ def _blocks(stream):
     The text is whole lines, each ending in ``\n``.  Lines end at ``\n``
     only, less one ``\r``: a string and a text stream split the same way
     (``str.splitlines`` and a universal-newlines stream would also split
-    at ``\r``, U+2028 and other separators).  A stream is read ``_BLOCK``
-    characters at a time and cut after the last ``\n``.  Any other
-    iterable yields its items as lines; a block in which an item holds a
-    ``\n`` comes as its list of lines, so that item stays one line.
+    at ``\r``, U+2028 and other separators).  A string or stream comes
+    ``_BLOCK`` characters at a time, any other iterable an item at a
+    time, each item one line; a block is cut after the last ``\n`` once
+    it holds ``_BLOCK`` characters.  An item is text like any other, so
+    a ``\n`` inside it ends a line as it does in a string.
     """
     if isinstance(stream, str):
         chunks = (stream[i : i + _BLOCK] for i in range(0, len(stream), _BLOCK))
     elif isinstance(stream, io.TextIOBase):
         chunks = iter(lambda: stream.read(_BLOCK), "")
     else:
-        for number, lines in _item_blocks(stream):
-            text = "\n".join(lines) + "\n"
-            yield number, lines if text.count("\n") > len(lines) else text
-        return
-    number, pieces = 1, []
+        chunks = (item if item.endswith("\n") else item + "\n" for item in stream)
+    number, pieces, size = 1, [], 0
     for chunk in chunks:
+        pieces.append(chunk)
+        size += len(chunk)
         cut = chunk.rfind("\n") + 1
-        if not cut:
-            pieces.append(chunk)
+        if size < _BLOCK or not cut:
             continue
-        pieces.append(chunk[:cut])
+        pieces[-1] = chunk[:cut]
         text = "".join(pieces).replace("\r\n", "\n")
         yield number, text
         number += text.count("\n")
-        pieces = [chunk[cut:]]
-    last = "".join(pieces)
+        pieces, size = [chunk[cut:]], len(chunk) - cut
+    last = "".join(pieces).replace("\r\n", "\n")
     if last:
-        yield number, last.removesuffix("\r") + "\n"
-
-
-def _item_blocks(items):
-    number, lines, size = 1, [], 0
-    for item in items:
-        lines.append(item.removesuffix("\n").removesuffix("\r"))
-        size += len(item)
-        if size >= _BLOCK:
-            yield number, lines
-            number, lines, size = number + len(lines), [], 0
-    if lines:
-        yield number, lines
-
-
-class _Cells:
-    """Valid ``(x, z, count)`` int64 columns of a parse, summed into one table.
-
-    Columns arrive a block at a time and are summed as soon as the rows
-    held are more than twice the rows of the last sum, so memory follows
-    the table and one block, not the input, and the sums take time
-    linear in the rows added.  Once the exact total passes 2**63 - 1 no
-    more rows are held and :meth:`table` raises, so that an error on a
-    later line is still the one reported.
-    """
-
-    def __init__(self, empty: str):
-        self.domain = Domain.SEGMENTS
-        self.empty = empty  # the EmptyInput message of a parse without rows
-        self.columns = []  # int64 (xs, zs, ns) columns
-        self.rows = 0  # rows held in columns
-        self.summed = 0  # rows after the last sum
-        self.total = 0  # exact sum of the counts added; every count is >= 1
-
-    def add(self, xs: np.ndarray, zs: np.ndarray, ns: np.ndarray) -> None:
-        self.total += _exact_sum(ns)
-        if len(xs) and self.total <= MAX_COUNT:
-            self.columns.append((xs, zs, ns))
-            self.rows += len(xs)
-            if self.rows > 2 * self.summed:
-                self._sum()
-
-    def _sum(self) -> None:
-        self.columns = [_sum_rows(*map(np.concatenate, zip(*self.columns)))]
-        self.rows = self.summed = len(self.columns[0][0])
-
-    def table(self) -> JointFrequencyTable:
-        if not self.total:
-            raise EmptyInput(self.empty)
-        _check_total(self.total)
-        self._sum()
-        return JointFrequencyTable(self.domain, *self.columns[0])
+        yield number, last if last.endswith("\n") else last.removesuffix("\r") + "\n"
 
 
 def _scan_rows(first: int, lines, cells: _Cells) -> None:
@@ -221,19 +164,18 @@ def _scan_rows(first: int, lines, cells: _Cells) -> None:
 def parse_frequency_table(stream) -> JointFrequencyTable:
     """Parse ``x, z, count`` rows (comma or tab separated) into a table.
 
-    Accepts a string, a text stream or an iterable of lines.  An
-    optional header row ``x,z,count`` is skipped, ``#`` lines are
-    comments, and a ``#domain=boundaries`` directive before the data
-    switches the domain (segments is the default).  Rows with equal
-    (x, z) are aggregated.  Raises :class:`ParseError` with the 1-based
-    line number on malformed rows, :class:`InvalidPair` on domain
-    violations, and :class:`EmptyInput` when no data rows are present.
+    Accepts a string, a text stream or an iterable of lines; lines end
+    at ``\n``, and a ``\n`` inside an item ends a line as it does in a
+    string.  An optional header row ``x,z,count`` is skipped, ``#``
+    lines are comments, and a ``#domain=boundaries`` directive before
+    the data switches the domain (segments is the default).  Rows with
+    equal (x, z) are aggregated.  Raises :class:`ParseError` with the
+    1-based line number on malformed rows, :class:`InvalidPair` on
+    domain violations, and :class:`EmptyInput` when no data rows are
+    present.
     """
-    cells = _Cells("no data rows in input")
+    cells = _Cells(Domain.SEGMENTS, "no data rows in input")
     for first, text in _blocks(stream):
-        if isinstance(text, list):  # an iterable's item held a "\n"
-            _scan_rows(first, text, cells)
-            continue
         # Text alternates gaps and runs of strict rows.  A run is converted
         # in one numpy call; a gap (header, comments, directive, any other
         # row) goes row by row.
@@ -375,30 +317,25 @@ def _screen(
 
 
 def _count_block(
-    first: int, text, fmt: CorpusFormat, kinds: _CodeKinds, cells: _Cells
+    first: int, text: str, fmt: CorpusFormat, kinds: _CodeKinds, cells: _Cells
 ) -> None:
     """Add the key of every construct line of one block to ``cells``.
 
     :func:`_screen` counts most lines of the block's text from one flag
     array; the rest, sliced out of the text, go through :func:`_line_key`
-    in line order, so the earliest bad line raises.  A block that comes
-    as a list of lines goes through :func:`_line_key` whole.
+    in line order, so the earliest bad line raises.
     """
-    if isinstance(text, str):
-        units = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
-        ends = np.flatnonzero(units == 10)
-        starts = np.concatenate(([0], ends[:-1] + 1))
-        xs, zs, rest = _screen(kinds(units), starts, ends, fmt)
-        cells.add(xs, zs, np.ones_like(xs))
-        bounds = zip(rest.tolist(), starts[rest].tolist(), ends[rest].tolist())
-        lines = ((first + i, text[a:b]) for i, a, b in bounds)
-    else:
-        lines = enumerate(text, start=first)
+    units = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+    ends = np.flatnonzero(units == 10)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    xs, zs, rest = _screen(kinds(units), starts, ends, fmt)
+    cells.add(xs, zs, np.ones_like(xs))
     keys = []
-    for number, line in lines:
+    for i, a, b in zip(rest.tolist(), starts[rest].tolist(), ends[rest].tolist()):
+        line = text[a:b]
         stripped = line.strip()
         if stripped and not stripped.startswith(COMMENT_PREFIX):
-            keys.append(_line_key(number, line, stripped, fmt))
+            keys.append(_line_key(first + i, line, stripped, fmt))
     if keys:
         rows = [(x, z, n) for (x, z), n in Counter(keys).items()]
         cells.add(*np.array(rows, dtype=np.int64).T)
@@ -414,9 +351,12 @@ def parse_segmented_corpus(
     Blank lines and ``#`` comments are skipped.  Adjacent, leading or
     trailing delimiters make an empty unit and raise
     :class:`EmptyConstituent` with the line number.  Accepts a string,
-    a text stream or an iterable of lines, read block by block.
+    a text stream or an iterable of lines, read block by block; lines
+    end at ``\n``, and a ``\n`` inside an item ends a line as it does in
+    a string, so ``\n`` is no valid delimiter (see :class:`CorpusFormat`).
     """
-    kinds, cells = _CodeKinds(fmt), _Cells("no construct lines in input")
+    kinds = _CodeKinds(fmt)
+    cells = _Cells(Domain.SEGMENTS, "no construct lines in input")
     for first, text in _blocks(stream):
         _count_block(first, text, fmt, kinds, cells)
     return cells.table()

@@ -313,10 +313,43 @@ def _sum_rows(xs, zs, ns):
     return xs[starts], zs[starts], np.add.reduceat(ns, starts)
 
 
-def _aggregate(xs, zs, ns, domain: Domain) -> JointFrequencyTable:
-    """Table of checked row columns; equal (x, z) rows are summed."""
-    _exact_total(ns)
-    return JointFrequencyTable(domain, *_sum_rows(xs, zs, ns))
+class _Cells:
+    """Valid ``(x, z, count)`` int64 columns, summed into one table.
+
+    Columns arrive a block at a time and are summed as soon as the rows
+    held are more than twice the rows of the last sum, so memory follows
+    the table and one block, not the input, and the sums take time
+    linear in the rows added.  Once the exact total passes 2**63 - 1 no
+    more rows are held and :meth:`table` raises, so that an error on a
+    later line is still the one reported.
+    """
+
+    def __init__(self, domain: Domain, empty: str):
+        self.domain = domain
+        self.empty = empty  # the EmptyInput message of a table without rows
+        self.columns = []  # int64 (xs, zs, ns) columns
+        self.rows = 0  # rows held in columns
+        self.summed = 0  # rows after the last sum
+        self.total = 0  # exact sum of the counts added; every count is >= 1
+
+    def add(self, xs: np.ndarray, zs: np.ndarray, ns: np.ndarray) -> None:
+        self.total += _exact_sum(ns)
+        if len(xs) and self.total <= MAX_COUNT:
+            self.columns.append((xs, zs, ns))
+            self.rows += len(xs)
+            if self.rows > 2 * self.summed:
+                self._sum()
+
+    def _sum(self) -> None:
+        self.columns = [_sum_rows(*map(np.concatenate, zip(*self.columns)))]
+        self.rows = self.summed = len(self.columns[0][0])
+
+    def table(self) -> JointFrequencyTable:
+        if not self.total:
+            raise EmptyInput(self.empty)
+        _check_total(self.total)
+        self._sum()
+        return JointFrequencyTable(self.domain, *self.columns[0])
 
 
 def build_table(pairs, domain: Domain) -> JointFrequencyTable:
@@ -326,10 +359,11 @@ def build_table(pairs, domain: Domain) -> JointFrequencyTable:
     Raises :class:`InvalidPair` when a pair violates the domain
     invariant and :class:`EmptyInput` when nothing is supplied.
     """
+    cells = _Cells(domain, "no pairs supplied")
     rows = [(int(x), int(z), _as_count(n)) for x, z, n in pairs]
-    if not rows:
-        raise EmptyInput("no pairs supplied")
-    return _aggregate(*_checked_rows(*zip(*rows), domain), domain)
+    if rows:
+        cells.add(*_checked_rows(*zip(*rows), domain))
+    return cells.table()
 
 
 @dataclass(frozen=True, eq=False)

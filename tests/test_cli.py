@@ -104,6 +104,9 @@ class TestFit:
         (("--constituent-delimiter=#",), "delimiters must be distinct"),
         (("--subconstituent-mode", "delimited", "--subconstituent-delimiter=-"),
          "delimiters must be distinct"),
+        (("--constituent-delimiter=\n",), "delimiters cannot be '\\n'"),
+        (("--subconstituent-mode", "delimited", "--subconstituent-delimiter=\n"),
+         "delimiters cannot be '\\n'"),
     ])
     @pytest.mark.parametrize("command", ["fit", "sample"])
     def test_bad_corpus_delimiter_exit_1(self, command, flags, message, tmp_path):

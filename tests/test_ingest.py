@@ -2,6 +2,7 @@
 
 import io
 import os
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -187,6 +188,13 @@ class TestCorpusFormat:
         with pytest.raises(ValueError):
             CorpusFormat(constituent_delimiter="--")
 
+    @pytest.mark.parametrize("field", ["constituent_delimiter",
+                                       "subconstituent_delimiter"])
+    def test_newline_is_not_a_delimiter(self, field):
+        # Lines are split at "\n" first, so no line can hold it.
+        with pytest.raises(ValueError, match="which ends lines"):
+            CorpusFormat(**{field: "\n"})
+
 
 def _as_table(cells):
     return build_table([(x, z, n) for (x, z), n in cells.items()], Domain.SEGMENTS)
@@ -200,10 +208,18 @@ def _outcome(parse, source):
     return table.domain, dict(table.cells)
 
 
+def _pieces(text):
+    """The ``\\n``-terminated pieces of a text, and its unterminated tail."""
+    return re.findall(r".*\n|.+", text)
+
+
 def _carriers(text):
-    """The same text as a string, a text stream and an open file."""
+    """The same text as a string, a text stream, two iterables of its
+    lines and an open file."""
     yield text
     yield io.StringIO(text, newline="")
+    yield [text]
+    yield iter(_pieces(text))
     fd, path = tempfile.mkstemp(suffix=".txt")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as out:
@@ -237,7 +253,7 @@ def _texts(draw, lines):
 
 
 class TestCarriers:
-    """Strings, streams and files split lines at ``\\n`` alone."""
+    """Strings, streams, iterables and files split lines at ``\\n`` alone."""
 
     def test_line_separator_inside_a_line(self):
         text = "ab-c\u2028d-ef"
@@ -249,13 +265,13 @@ class TestCarriers:
     @settings(max_examples=80)
     def test_frequency_table_carriers_agree(self, text):
         outcomes = [_outcome(parse_frequency_table, c) for c in _carriers(text)]
-        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes == [outcomes[0]] * 5
 
     @given(_texts(_corpus_lines))
     @settings(max_examples=80)
     def test_corpus_carriers_agree(self, text):
         outcomes = [_outcome(parse_segmented_corpus, c) for c in _carriers(text)]
-        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes == [outcomes[0]] * 5
 
 
 # Spaces that str.strip removes but \X counts as plain code points.
@@ -294,10 +310,11 @@ _cluster_texts = st.one_of(
 
 
 def _line_carriers(text):
-    """The text as a string, a ``newline=""`` stream, an iterable of lines
-    and an iterable whose one item holds every line."""
+    """The text as a string, a ``newline=""`` stream, an iterable of its
+    ``str.splitlines`` lines, an iterable whose one item holds every
+    line and an iterable of its ``\\n``-terminated pieces."""
     return (text, io.StringIO(text, newline=""),
-            iter(text.splitlines(keepends=True)), [text])
+            iter(text.splitlines(keepends=True)), [text], iter(_pieces(text)))
 
 
 class TestBlocks:
@@ -366,19 +383,23 @@ class TestBlocks:
         # cluster of its own.
         assert parse_segmented_corpus("a \u0301\n").cells == {(1, 2): 1}
 
-    def test_item_with_a_newline_stays_one_line(self):
+    def test_item_with_a_newline_reads_as_the_string(self):
         lines = ["ab-c\n", "d\ne-f\r\n", "g"]
-        assert dict(parse_segmented_corpus(lines).cells) == ref_corpus(lines)
+        got = _outcome(parse_segmented_corpus, lines)
+        assert got == _outcome(parse_segmented_corpus, "".join(lines))
+        assert got == (Domain.SEGMENTS, {(2, 3): 1, (1, 1): 2, (2, 2): 1})
 
-    @pytest.mark.parametrize("items", [
-        ["1,1,1", "1,2,3\n2,3,4", "x"],
-        ["x,z,count\n", "1,1,1\n", "2,3,4\n2,3,4\n", "1,1,1"],
-        ["1,1,1\n2,2,2"],
+    @pytest.mark.parametrize("items, want", [
+        (["1,1,1", "1,2,3\n2,3,4", "x"],
+         (ParseError, "line 4: expected 3 fields, got 1: 'x'")),
+        (["x,z,count\n", "1,1,1\n", "2,3,4\n2,3,4\n", "1,1,1"],
+         (Domain.SEGMENTS, {(1, 1): 2, (2, 3): 8})),
+        (["1,1,1\n2,2,2"], (Domain.SEGMENTS, {(1, 1): 1, (2, 2): 2})),
     ])
-    def test_table_item_with_a_newline_stays_one_line(self, items):
+    def test_table_item_with_a_newline_reads_as_the_string(self, items, want):
+        text = "\n".join(item.removesuffix("\n") for item in items)
         got = _outcome(parse_frequency_table, items)
-        assert got == _outcome(ref_frequency_table, items)
-        assert got[0] is ParseError
+        assert got == _outcome(parse_frequency_table, text) == want
 
     @given(_texts(st.one_of(
         _table_lines,

@@ -10,6 +10,7 @@ from menzerath import (
     AltmannFit,
     Estimator,
     HyperbolicFit,
+    MenzerathError,
     Space,
     boundary_copula_cells,
     cell_probabilities,
@@ -152,6 +153,22 @@ class TestCsvExports:
         assert int(x0) == int(curve.xs[0])
         assert float(y0) == curve.ys[0]
         assert float(m0) == alt.a * int(x0) ** -alt.b
+
+    def test_curves_csv_model_missing_an_empirical_x(self):
+        t, _ = sample_report()
+        curve = empirical_mal_curve(t)
+        model = eval_model(AltmannFit(3.0, 0.4), np.delete(curve.xs, 1))
+        with pytest.raises(MenzerathError,
+                           match=f"^model 'altmann' curve missing x={curve.xs[1]}$"):
+            curves_csv(curve, {"altmann": model})
+
+    def test_curves_csv_writes_only_the_empirical_xs(self):
+        t, _ = sample_report()
+        curve = empirical_mal_curve(t)
+        alt = AltmannFit(3.0, 0.4)
+        wide = eval_model(alt, np.arange(1, curve.xs[-1] + 5))
+        assert curves_csv(curve, {"altmann": wide}) == \
+            curves_csv(curve, {"altmann": eval_model(alt, curve.xs)})
 
     def test_cells_csv_includes_union_of_cells(self):
         rng = np.random.default_rng(64)

@@ -23,7 +23,7 @@ from menzerath import (
     build_table,
 )
 from menzerath.svgfig import _MARGIN, _COLORS, _axis_frame, _f, _scale, _tick_labels
-from menzerath.table import _aggregate, _checked_rows
+from menzerath.table import _checked_rows
 
 
 def expand(table: JointFrequencyTable) -> tuple[np.ndarray, np.ndarray]:
@@ -187,14 +187,16 @@ def ref_predicted_curve(probabilities: dict) -> list[tuple[int, float, float]]:
 
 
 def ref_lines(source) -> list[str]:
-    """Lines of a string, text stream or iterable, less one ``\\r`` each."""
-    if isinstance(source, str):
-        lines = source.split("\n")
-    elif isinstance(source, io.TextIOBase):
-        lines = source.read().split("\n")
-    else:
-        lines = [item[:-1] if item.endswith("\n") else item for item in source]
-    return [line[:-1] if line.endswith("\r") else line for line in lines]
+    """Lines of a string, text stream or iterable, less one ``\\r`` each.
+
+    An iterable's items are the lines of one text: each item ends a
+    line, and a ``\\n`` inside an item ends one too.
+    """
+    if isinstance(source, io.TextIOBase):
+        source = source.read()
+    elif not isinstance(source, str):
+        source = "".join(item if item.endswith("\n") else item + "\n" for item in source)
+    return [line[:-1] if line.endswith("\r") else line for line in source.split("\n")]
 
 
 def ref_corpus(source, delimiter: str = "-", subdelimiter: str | None = None) -> dict:
@@ -267,7 +269,7 @@ def ref_frequency_table(source) -> JointFrequencyTable:
         raise failure
     if not numbers:
         raise EmptyInput("no data rows in input")
-    return _aggregate(*rows, domain)
+    return build_table(zip(*rows), domain)
 
 
 # Element-by-element references for the batched kernels: every case of
