@@ -37,6 +37,7 @@ from .copula import (
     phi2,
     predicted_mal_from_cells,
     sample_copula,
+    sample_indices,
 )
 from .errors import (
     DegenerateVariance,

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .boundaries import from_boundaries, pairs_from_boundaries, to_boundaries
-from .copula import Estimator, fit_copula, sample_copula
+from .copula import Estimator, fit_copula, sample_indices
 from .errors import EmptyConstituent, EmptyInput, InvalidPair, MenzerathError, ParseError
 from .ingest import CorpusFormat, parse_frequency_table, parse_segmented_corpus
 from .report import MODEL_ORDER, compare, write_artifacts
@@ -26,8 +26,9 @@ from .table import Domain
 
 __all__ = ["main"]
 
-# Rows per sample_copula call: peak memory follows this constant, not
-# --n (unless the scatter in figure.svg keeps every row).
+# Rows per sample_indices call.  A chunk's rows are formatted once per
+# distinct cell and gathered, so peak memory follows this constant and
+# the table, not --n (unless the scatter in figure.svg keeps every row).
 _SAMPLE_CHUNK = 1 << 16
 
 # copula-boundaries is selected by --boundaries, not by name.
@@ -176,16 +177,20 @@ def _check_options(args) -> str | None:
 
 
 def _draw(model, args):
-    """``sample_copula(model, args.n, args.seed)`` in chunks of rows.
+    """``sample_indices(model, args.n, args.seed)`` in chunks of rows.
 
     The chunks come from one Generator, whose stream they continue, so
-    they concatenate to the one-shot draw; under ``--boundaries`` each
-    is mapped to segment pairs.
+    they concatenate to the one-shot draw.
     """
     rng = np.random.default_rng(args.seed)
     for start in range(0, args.n, _SAMPLE_CHUNK):
-        part = sample_copula(model, min(_SAMPLE_CHUNK, args.n - start), rng)
-        yield pairs_from_boundaries(part) if args.boundaries else part
+        yield sample_indices(model, min(_SAMPLE_CHUNK, args.n - start), rng)
+
+
+def _pairs(model, args, ix, iz) -> np.ndarray:
+    # The sampled (x, z) pairs of support indices, as segment pairs.
+    pairs = model.support_pairs(ix, iz)
+    return pairs_from_boundaries(pairs) if args.boundaries else pairs
 
 
 def _cmd_fit(args, table) -> int:
@@ -197,7 +202,7 @@ def _cmd_fit(args, table) -> int:
         name = "copula-boundaries" if args.boundaries else "copula"
         try:
             model = comparison.copulas.get(name) or fit_copula(table, args.estimator)
-            parts = list(_draw(model, args))
+            parts = [_pairs(model, args, ix, iz) for ix, iz in _draw(model, args)]
         except MenzerathError as exc:
             # The report stands without the scatter; say why it is missing.
             print(f"warning: figure.svg has no sample scatter: {exc}", file=sys.stderr)
@@ -224,14 +229,21 @@ def _cmd_sample(args, table) -> int:
         f"# model={name} estimator={model.estimator.value} "
         f"rho={model.rho!r} n={args.n} seed={args.seed}\nx,z\n"
     )
+    width = len(model.marginal_z.support)
     parts = []
     with open(out_dir / "samples.csv", "wb") as out:
         out.write(header.encode("utf-8"))
-        for part in _draw(model, args):
-            rows = ("%d,%d\n" * len(part)) % tuple(part.ravel().tolist())
-            out.write(rows.encode("ascii"))
+        for ix, iz in _draw(model, args):
+            # A row is a function of its cell: format each distinct cell
+            # of the chunk once, as a NUL-padded fixed-width string, and
+            # gather the rows without their padding.
+            cells, inverse = np.unique(ix * width + iz, return_inverse=True)
+            pairs = _pairs(model, args, cells // width, cells % width)
+            rows = np.array([b"%d,%d\n" % (x, z) for x, z in pairs.tolist()])
+            text = rows[inverse].view(np.uint8)
+            out.write(text[text != 0].tobytes())
             if comparison is not None:
-                parts.append(part)
+                parts.append(pairs[inverse])
     if comparison is not None:
         write_artifacts(out_dir, comparison, {"svg"}, args.n, np.concatenate(parts))
     print(f"wrote {out_dir / 'samples.csv'} ({args.n} pairs, seed {args.seed})")

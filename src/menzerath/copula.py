@@ -43,6 +43,7 @@ __all__ = [
     "estimate_rho",
     "fit_copula",
     "cell_probabilities",
+    "sample_indices",
     "sample_copula",
     "predicted_mal_from_cells",
     "infeasible_mass",
@@ -163,6 +164,11 @@ class GaussianCopulaModel:
         if not abs(self.rho) < 1.0:
             raise RhoOutOfRange(f"copula needs |rho| < 1, got {self.rho}")
 
+    def support_pairs(self, ix: np.ndarray, iz: np.ndarray) -> np.ndarray:
+        """(n, 2) int64 array of the support values at indices ``ix``, ``iz``."""
+        pairs = np.column_stack((self.marginal_x.support[ix], self.marginal_z.support[iz]))
+        return pairs.astype(np.int64, copy=False)
+
 
 class JointProbabilityTable(_CellColumns):
     """Model-side joint distribution: probability per (x, z) cell.
@@ -267,23 +273,35 @@ def cell_probabilities(model: GaussianCopulaModel) -> JointProbabilityTable:
     )
 
 
-def sample_copula(
+def sample_indices(
     model: GaussianCopulaModel, n: int, seed: int | np.random.Generator
-) -> np.ndarray:
-    """Draw n pairs from the copula model as an (n, 2) integer array.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw n cells from the copula model as support indices ``(ix, iz)``.
 
     Per draw: a correlated standard-normal pair is mapped to uniforms
-    through the normal CDF, then to support values through each
-    marginal's quantile function.  Deterministic given the seed (see
+    through the normal CDF, then to the index of each marginal's
+    quantile in its support.  Deterministic given the seed (see
     :mod:`menzerath._normals` for the generator contract).  ``seed`` may
     also be a ``numpy.random.Generator``, whose stream continues, so
     successive calls on one Generator concatenate to a single draw.
     """
     z = standard_normal_pairs(n, seed)
     z1, z2 = correlate_pairs(z, model.rho)
-    xs = model.marginal_x.quantile_many(ndtr(z1))
-    zs = model.marginal_z.quantile_many(ndtr(z2))
-    return np.column_stack((xs, zs)).astype(np.int64)
+    return (
+        model.marginal_x.quantile_index(ndtr(z1)),
+        model.marginal_z.quantile_index(ndtr(z2)),
+    )
+
+
+def sample_copula(
+    model: GaussianCopulaModel, n: int, seed: int | np.random.Generator
+) -> np.ndarray:
+    """Draw n pairs from the copula model as an (n, 2) integer array.
+
+    The support values of :func:`sample_indices` on the same ``seed``:
+    each marginal's quantile of its uniform.
+    """
+    return model.support_pairs(*sample_indices(model, n, seed))
 
 
 def predicted_mal_from_cells(cells: JointProbabilityTable) -> MalCurve:

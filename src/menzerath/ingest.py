@@ -64,7 +64,9 @@ class CorpusFormat:
     ``subconstituent_delimiter`` of ``None`` selects character mode
     (every grapheme cluster is one subconstituent); a character selects
     delimited mode (subconstituents are explicitly marked, e.g. ``.``).
-    Neither may be ``\n``, which ends lines, or ``#``.
+    Neither may be ``\n``, which ends lines, ``#``, or any other
+    whitespace (``str.isspace``), which is stripped from both ends of a
+    line before it is split.
     """
 
     constituent_delimiter: str = "-"
@@ -79,6 +81,11 @@ class CorpusFormat:
                 raise ValueError(f"delimiter must be a single character, got {d!r}")
             if d == "\n":
                 raise ValueError("delimiters cannot be '\\n', which ends lines")
+            if d.isspace():
+                raise ValueError(
+                    f"delimiters cannot be whitespace, which is stripped from "
+                    f"line ends, got {d!r}"
+                )
         if len(set(delims)) != len(delims) or COMMENT_PREFIX in delims:
             raise ValueError("delimiters must be distinct from each other and from '#'")
 

@@ -348,7 +348,8 @@ class _Cells:
         if not self.total:
             raise EmptyInput(self.empty)
         _check_total(self.total)
-        self._sum()
+        if self.rows > self.summed:
+            self._sum()
         return JointFrequencyTable(self.domain, *self.columns[0])
 
 
@@ -409,16 +410,24 @@ class MarginalDistribution:
         """CDF including the zero level below the first support value."""
         return np.concatenate(([0.0], self.cdf))
 
+    def quantile_index(self, u: np.ndarray) -> np.ndarray:
+        """Index into ``support`` of :meth:`quantile_many`, elementwise.
+
+        Each ``u`` maps to the index of the first cumulative probability
+        that reaches it.  Defined for ``0 < u <= 1``.
+        """
+        u = np.asarray(u, dtype=float)
+        if np.any((u <= 0.0) | (u > 1.0)):
+            raise UOutOfRange("all u must satisfy 0 < u <= 1")
+        return np.searchsorted(self.cdf, u, side="left")
+
     def quantile_many(self, u: np.ndarray) -> np.ndarray:
         """Right-continuous generalized inverse of the CDF, elementwise.
 
         Each ``u`` maps to the smallest support value whose cumulative
         probability reaches it.  Defined for ``0 < u <= 1``.
         """
-        u = np.asarray(u, dtype=float)
-        if np.any((u <= 0.0) | (u > 1.0)):
-            raise UOutOfRange("all u must satisfy 0 < u <= 1")
-        return self.support[np.searchsorted(self.cdf, u, side="left")]
+        return self.support[self.quantile_index(u)]
 
 
 @dataclass(frozen=True)

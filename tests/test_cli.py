@@ -4,9 +4,13 @@ import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -107,6 +111,10 @@ class TestFit:
         (("--constituent-delimiter=\n",), "delimiters cannot be '\\n'"),
         (("--subconstituent-mode", "delimited", "--subconstituent-delimiter=\n"),
          "delimiters cannot be '\\n'"),
+        (("--constituent-delimiter= ",), "delimiters cannot be whitespace"),
+        (("--constituent-delimiter=\t",), "delimiters cannot be whitespace"),
+        (("--subconstituent-mode", "delimited", "--subconstituent-delimiter=\u3000"),
+         "delimiters cannot be whitespace"),
     ])
     @pytest.mark.parametrize("command", ["fit", "sample"])
     def test_bad_corpus_delimiter_exit_1(self, command, flags, message, tmp_path):
@@ -391,6 +399,10 @@ class TestSample:
         assert not (tmp_path / "o").exists()
 
 
+# A positive integer of 1 to 18 digits, the digit count drawn first.
+_WIDE = st.integers(1, 18).flatmap(lambda d: st.integers(10 ** (d - 1), 10**d - 1))
+
+
 class TestSampleChunks:
     """Streamed samples.csv against an independent one-shot formatting."""
 
@@ -433,6 +445,52 @@ class TestSampleChunks:
         assert (out / "samples.csv").read_bytes() == (
             tmp_path / "whole" / "samples.csv"
         ).read_bytes()
+
+    @given(
+        cells=st.lists(st.tuples(_WIDE, _WIDE, st.integers(1, 5)), min_size=2, max_size=12),
+        n=st.integers(1, 60),
+        chunk=st.integers(1, 9),
+        seed=st.integers(0, 2**32),
+        boundaries=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    @pytest.mark.filterwarnings("ignore:.*clamped:UserWarning")
+    def test_gathered_rows_match_one_shot_formatting(
+        self, cells, n, chunk, seed, boundaries
+    ):
+        """Rows of 1- to 19-digit fields, in repeated chunks and a partial last one."""
+        from menzerath import (
+            Domain,
+            Estimator,
+            build_table,
+            cli,
+            fit_copula,
+            pairs_from_boundaries,
+            sample_copula,
+            to_boundaries,
+            write_frequency_table,
+        )
+
+        table = build_table([(x, x + extra, k) for x, extra, k in cells], Domain.SEGMENTS)
+        fit_table = to_boundaries(table) if boundaries else table
+        # The rank-based estimator is defined on any two-valued axes.
+        assume(len(fit_table.support_x) > 1 and len(fit_table.support_z) > 1)
+        model = fit_copula(fit_table, Estimator.NORMAL_SCORES)
+        expected = sample_copula(model, n, seed)
+        if boundaries:
+            expected = pairs_from_boundaries(expected)
+        want = (("%d,%d\n" * n) % tuple(expected.ravel().tolist())).encode("ascii")
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "table.csv"
+            path.write_text(write_frequency_table(table), encoding="utf-8")
+            argv = ["sample", "--input", str(path), "--n", str(n), "--seed", str(seed),
+                    "--estimator", "normal-scores", "--out", work]
+            with mock.patch.object(cli, "_SAMPLE_CHUNK", chunk):
+                assert cli.main(argv + ["--boundaries"] * boundaries) == 0
+            text = (Path(work) / "samples.csv").read_bytes()
+        header, columns, rows = text.split(b"\n", 2)
+        assert header.startswith(b"# model=copula") and columns == b"x,z"
+        assert rows == want
 
 
 class TestDeterminism:

@@ -27,6 +27,7 @@ from menzerath import (
     phi2,
     predicted_mal_from_cells,
     sample_copula,
+    sample_indices,
 )
 from menzerath.copula import RHO_CLAMP
 
@@ -351,6 +352,18 @@ class TestSampleCopula:
         chunks = [sample_copula(model, k, rng) for k in sizes]
         one_shot = sample_copula(model, sum(sizes), seed)
         assert np.concatenate(chunks).tobytes() == one_shot.tobytes()
+
+    @pytest.mark.parametrize("domain", [Domain.SEGMENTS, Domain.BOUNDARIES])
+    def test_values_are_the_supports_at_the_drawn_indices(self, domain):
+        model = random_model(np.random.default_rng(8), domain)
+        ix, iz = sample_indices(model, 500, 11)
+        mx, mz = model.marginal_x, model.marginal_z
+        assert 0 <= ix.min() and ix.max() < len(mx.support)
+        assert 0 <= iz.min() and iz.max() < len(mz.support)
+        expected = [[int(mx.support[i]), int(mz.support[j])] for i, j in zip(ix, iz)]
+        samples = sample_copula(model, 500, 11)
+        assert samples.dtype == np.int64
+        assert samples.tolist() == expected
 
     def test_comonotone_limit_with_identical_marginals(self):
         from menzerath.table import MarginalDistribution

@@ -195,6 +195,15 @@ class TestCorpusFormat:
         with pytest.raises(ValueError, match="which ends lines"):
             CorpusFormat(**{field: "\n"})
 
+    @pytest.mark.parametrize("field", ["constituent_delimiter",
+                                       "subconstituent_delimiter"])
+    @pytest.mark.parametrize("space", [" ", "\t", "\u3000"])
+    def test_whitespace_is_not_a_delimiter(self, field, space):
+        # A line is stripped before it is split, so a whitespace
+        # delimiter at either end would make no empty unit.
+        with pytest.raises(ValueError, match="cannot be whitespace"):
+            CorpusFormat(**{field: space})
+
 
 def _as_table(cells):
     return build_table([(x, z, n) for (x, z), n in cells.items()], Domain.SEGMENTS)

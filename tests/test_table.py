@@ -2,6 +2,7 @@
 
 import math
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,8 +22,10 @@ from menzerath import (
     build_table,
     empirical_mal_curve,
     marginal,
+    parse_frequency_table,
     weighted_moments,
 )
+from menzerath import table as table_module
 
 from util import expand, probability_table, random_table, scaled
 
@@ -98,6 +101,21 @@ class TestBuildTable:
     def test_count_overflow(self):
         with pytest.raises(OverflowError):
             build_table([(1, 1, 2**63)], Domain.SEGMENTS)
+
+    def test_rows_are_summed_once(self):
+        # The rows are summed when they arrive; the table is built from
+        # that sum without sorting it again.
+        rows = [(2, 5, 3), (1, 4, 1), (2, 5, 2)]
+        sum_rows = table_module._sum_rows
+        with mock.patch.object(table_module, "_sum_rows", wraps=sum_rows) as sums:
+            t = build_table(rows, Domain.SEGMENTS)
+        assert sums.call_count == 1
+        parsed = parse_frequency_table("".join(f"{x},{z},{n}\n" for x, z, n in rows))
+        for t2 in (parsed, build_table(sorted(rows), Domain.SEGMENTS)):
+            assert t2.domain is t.domain
+            for name in ("xs", "zs", "ns"):
+                assert getattr(t2, name).tolist() == getattr(t, name).tolist()
+        assert t.cells == {(1, 4): 1, (2, 5): 5}
 
 
 class TestMarginal:
