@@ -9,6 +9,7 @@ are summed into the table as the parse goes, so a parse holds one block
 of the input at a time besides the table it builds.
 """
 
+import functools
 import io
 import re
 import sys
@@ -16,7 +17,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-import regex
 
 from .errors import EmptyConstituent, EmptyInput, ParseError
 from .table import Domain, JointFrequencyTable, _Cells, _checked_rows
@@ -36,17 +36,6 @@ _DOMAIN_DIRECTIVES = {
 # Characters per read: the memory a parse needs follows this constant,
 # not the size of the input.
 _BLOCK = 1 << 16
-# Extended grapheme clusters, so combining diacritics common in phonetic
-# transcription count as one subconstituent, not two.
-_GRAPHEME = regex.compile(r"\X")
-# Code point classes from the same Unicode data as \X.  A plain code
-# point always starts a cluster and an extender never does (it joins the
-# cluster before it).  Every other code point (controls, CR and LF,
-# Prepend, Hangul jamo, regional indicators, pictographs, and conjunct
-# consonants, which join across a virama under GB9c) can join or split
-# clusters in other ways.
-_PLAIN_RE = regex.compile(r"[\p{GCB=Other}--\p{ExtPict}--\p{InCB=Consonant}]", regex.V1)
-_EXTENDER_RE = regex.compile(r"[\p{GCB=Extend}\p{GCB=SpacingMark}\p{GCB=ZWJ}]")
 # Flags of a code point in a parse's kind table; one without a flag is
 # plain.
 _EXTENDER, _DELIMITER, _SUBDELIMITER, _OTHER, _SPACE, _COMMENT = 1, 2, 4, 8, 16, 32
@@ -54,6 +43,30 @@ _UNSEEN = 128
 # A run of strict table rows: unsigned ASCII digits, at most 18 of them,
 # so every value fits in int64 and numpy reads it as int() would.
 _STRICT_RUN = re.compile(r"(?m)^((?:[0-9]{1,18},[0-9]{1,18},[0-9]{1,18}\n)+)")
+
+
+@functools.cache
+def _unicode_patterns():
+    """``(grapheme, plain, extender)`` patterns, compiled on first use.
+
+    Only a corpus parse needs them, so a table parse never loads
+    ``regex``.  ``grapheme`` matches extended grapheme clusters, so
+    combining diacritics common in phonetic transcription count as one
+    subconstituent, not two.  ``plain`` and ``extender`` are code point
+    classes from the same Unicode data as ``\\X``.  A plain code point
+    always starts a cluster and an extender never does (it joins the
+    cluster before it).  Every other code point (controls, CR and LF,
+    Prepend, Hangul jamo, regional indicators, pictographs, and conjunct
+    consonants, which join across a virama under GB9c) can join or split
+    clusters in other ways.
+    """
+    import regex
+
+    return (
+        regex.compile(r"\X"),
+        regex.compile(r"[\p{GCB=Other}--\p{ExtPict}--\p{InCB=Consonant}]", regex.V1),
+        regex.compile(r"[\p{GCB=Extend}\p{GCB=SpacingMark}\p{GCB=ZWJ}]"),
+    )
 
 
 @dataclass(frozen=True)
@@ -221,7 +234,8 @@ def _count_subconstituents(
     constituent: str, fmt: CorpusFormat, number: int, line: str
 ) -> int:
     if fmt.subconstituent_delimiter is None:
-        return len(_GRAPHEME.findall(constituent))
+        grapheme, _, _ = _unicode_patterns()
+        return len(grapheme.findall(constituent))
     parts = constituent.split(fmt.subconstituent_delimiter)
     if any(not p for p in parts):
         raise EmptyConstituent(number, line)
@@ -268,9 +282,10 @@ class _CodeKinds:
             flags |= _COMMENT
         if char in self.delimiters:
             return flags | self.delimiters[char]
-        if _PLAIN_RE.fullmatch(char):
+        _, plain, extender = _unicode_patterns()
+        if plain.fullmatch(char):
             return flags
-        return flags | (_EXTENDER if _EXTENDER_RE.fullmatch(char) else _OTHER)
+        return flags | (_EXTENDER if extender.fullmatch(char) else _OTHER)
 
 
 def _screen(

@@ -10,8 +10,6 @@ Rendering is pure string assembly: identical inputs give byte-identical
 output, element order is fixed, and no external resource is referenced.
 """
 
-from xml.sax.saxutils import escape
-
 import numpy as np
 
 from .table import Domain
@@ -41,6 +39,16 @@ def _f(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _escape(text: str) -> str:
+    """``text`` with ``&``, ``<`` and ``>`` replaced by their entities.
+
+    Equal to ``xml.sax.saxutils.escape(text)``, whose import would load
+    ``urllib.request`` and ``email`` for three replacements; ``&`` goes
+    first, so the entities added after it stay as they are.
+    """
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def _scale(lo: float, hi: float, a: float, b: float):
     # The same operations, in the same order, on a float or an array.
     span = hi - lo if hi > lo else 1.0
@@ -54,12 +62,12 @@ def _axis_frame(out, x0, y0, w, h, xlab, ylab):
     )
     out.append(
         f'<text x="{_f(x0 + w / 2)}" y="{_f(y0 + h + 30)}" font-size="12" '
-        f'text-anchor="middle" fill="#333333">{escape(xlab)}</text>'
+        f'text-anchor="middle" fill="#333333">{_escape(xlab)}</text>'
     )
     out.append(
         f'<text x="{_f(x0 - 32)}" y="{_f(y0 + h / 2)}" font-size="12" '
         f'text-anchor="middle" fill="#333333" '
-        f'transform="rotate(-90 {_f(x0 - 32)} {_f(y0 + h / 2)})">{escape(ylab)}</text>'
+        f'transform="rotate(-90 {_f(x0 - 32)} {_f(y0 + h / 2)})">{_escape(ylab)}</text>'
     )
 
 
@@ -181,7 +189,7 @@ def _curve_panel(panel_id, title, comparison, blocks, legend, ox, oy, width, hei
     sy = _scale(lo_y, hi_y, y0 + h, y0)
     out.append(
         f'<text x="{_f(x0)}" y="{_f(y0 - 8)}" font-size="12" '
-        f'fill="#333333">{escape(title)}</text>'
+        f'fill="#333333">{_escape(title)}</text>'
     )
     out.extend(_curve_paths(curves, empirical, sx, sy))
     if legend and blocks:
@@ -194,7 +202,7 @@ def _curve_panel(panel_id, title, comparison, blocks, legend, ox, oy, width, hei
                 f'<rect x="{_f(x0 + w - 150)}" y="{_f(ly - 8)}" width="10" '
                 f'height="10" fill="{color}"/>'
                 f'<text x="{_f(x0 + w - 136)}" y="{_f(ly + 1)}" font-size="10" '
-                f'fill="#333333">{escape(label)}</text>'
+                f'fill="#333333">{_escape(label)}</text>'
             )
         out.append(f'<g id="{panel_id}-legend">{"".join(items)}</g>')
     _axis_frame(out, x0, y0, w, h, "x (constituents)", "y (mean length)")

@@ -18,6 +18,7 @@ pure functions, so concurrent reads are safe.
 """
 
 import enum
+import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -158,6 +159,12 @@ def _exact_total(ns: np.ndarray) -> int:
     return _check_total(_exact_sum(ns))
 
 
+def _ascending(xs: np.ndarray, zs: np.ndarray, strict: bool) -> bool:
+    """Whether the (x, z) rows ascend: strictly, or with equal rows allowed."""
+    dx, dz = np.diff(xs), np.diff(zs)
+    return not np.any((dx < 0) | ((dx == 0) & ((dz <= 0) if strict else (dz < 0))))
+
+
 def _run_starts(*keys: np.ndarray) -> np.ndarray:
     """Start index of every run of equal rows in grouped key columns."""
     change = np.zeros(len(keys[0]), dtype=bool)
@@ -233,8 +240,7 @@ class _CellColumns:
     _VALUE: str
 
     def __init__(self, domain: Domain, xs: np.ndarray, zs: np.ndarray, values: np.ndarray):
-        dx = np.diff(xs)
-        if np.any((dx < 0) | ((dx == 0) & (np.diff(zs) <= 0))):
+        if not _ascending(xs, zs, strict=True):
             raise ValueError("cells must be strictly ascending in (x, z)")
         self._set(domain=domain, xs=xs, zs=zs, **{self._VALUE: values})
 
@@ -306,9 +312,12 @@ def _sum_rows(xs, zs, ns):
     """Distinct (x, z) of int64 row columns, ascending, and their summed counts.
 
     The counts must total at most ``MAX_COUNT``, so no run sum can wrap.
+    Rows already in ascending order, as every table
+    :func:`~menzerath.ingest.write_frequency_table` writes, are not sorted.
     """
-    order = np.lexsort((zs, xs))
-    xs, zs, ns = xs[order], zs[order], ns[order]
+    if not _ascending(xs, zs, strict=False):
+        order = np.lexsort((zs, xs))
+        xs, zs, ns = xs[order], zs[order], ns[order]
     starts = _run_starts(xs, zs)
     return xs[starts], zs[starts], np.add.reduceat(ns, starts)
 
@@ -410,16 +419,42 @@ class MarginalDistribution:
         """CDF including the zero level below the first support value."""
         return np.concatenate(([0.0], self.cdf))
 
+    @functools.cached_property
+    def _guide(self) -> np.ndarray:
+        """Guide table of :meth:`quantile_index`, built on first use.
+
+        ``K + 1`` entries for a power of two ``K`` of at least
+        ``16 * len(cdf)`` and 1024.  Entry ``b`` is the index that every
+        ``u`` in ``[b/K, (b+1)/K)`` maps to when no CDF value falls in
+        that bin, and -1 when one does.  ``b/K`` is exact, and so is
+        ``floor(u * K)``, since ``K`` is a power of two.  Bin ``K``
+        holds ``cdf[-1] == 1.0``, so it is always -1.
+        """
+        k = 1 << max(10, (16 * len(self.cdf) - 1).bit_length())
+        below = np.searchsorted(self.cdf, np.arange(k + 2) / k, side="left")
+        guide = np.where(below[:-1] == below[1:], below[:-1], -1)
+        guide.setflags(write=False)
+        return guide
+
     def quantile_index(self, u: np.ndarray) -> np.ndarray:
         """Index into ``support`` of :meth:`quantile_many`, elementwise.
 
         Each ``u`` maps to the index of the first cumulative probability
-        that reaches it.  Defined for ``0 < u <= 1``.
+        that reaches it, ``searchsorted(cdf, u, side="left")``.  Defined
+        for ``0 < u <= 1``.  The index is read from a guide table whose
+        size follows the support (at most ``max(1025, 32 * len(cdf))``
+        entries): ``u`` in a bin that holds no CDF value reads
+        its index there, and only the rest are searched.
         """
         u = np.asarray(u, dtype=float)
-        if np.any((u <= 0.0) | (u > 1.0)):
+        if np.any(~((u > 0.0) & (u <= 1.0))):  # NaN fails both
             raise UOutOfRange("all u must satisfy 0 < u <= 1")
-        return np.searchsorted(self.cdf, u, side="left")
+        flat = u.ravel()
+        index = self._guide[(flat * (len(self._guide) - 1)).astype(np.intp)]
+        open_bins = np.flatnonzero(index < 0)
+        if len(open_bins):
+            index[open_bins] = np.searchsorted(self.cdf, flat[open_bins], side="left")
+        return index.reshape(u.shape)[()]  # a scalar for 0-d u, as searchsorted gives
 
     def quantile_many(self, u: np.ndarray) -> np.ndarray:
         """Right-continuous generalized inverse of the CDF, elementwise.

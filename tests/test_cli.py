@@ -44,6 +44,17 @@ def table_file(tmp_path):
     return path
 
 
+def test_cold_import_loads_no_regex_or_urllib():
+    # A fresh interpreter: the test suite itself imports regex.
+    probe = (
+        "import sys, menzerath.cli; "
+        "print([m for m in ('regex', 'urllib.request') if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 class TestFit:
     def test_basic_fit_writes_report(self, table_file, tmp_path):
         out = tmp_path / "out"

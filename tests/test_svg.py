@@ -116,3 +116,11 @@ class TestBatchedFormatting:
         with mock.patch.object(svgfig, "_joint_panel", ref_joint_panel):
             expected = render_svg(comparison, samples)
         assert render_svg(comparison, samples) == expected
+
+
+@given(st.text(alphabet=st.sampled_from("&<>;amp#\"'x") | st.characters()))
+@settings(max_examples=200)
+def test_escape_matches_saxutils(text):
+    from xml.sax.saxutils import escape
+
+    assert svgfig._escape(text) == escape(text)

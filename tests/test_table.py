@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from menzerath import (
     Axis,
@@ -16,6 +17,7 @@ from menzerath import (
     EmptyInput,
     InvalidPair,
     LogOfNonpositive,
+    MarginalDistribution,
     Space,
     UOutOfRange,
     WrongDomain,
@@ -117,6 +119,17 @@ class TestBuildTable:
                 assert getattr(t2, name).tolist() == getattr(t, name).tolist()
         assert t.cells == {(1, 4): 1, (2, 5): 5}
 
+    def test_ascending_rows_are_not_sorted(self):
+        rows = [(1, 2, 4), (1, 3, 1), (1, 3, 2), (2, 2, 5), (2, 7, 1), (4, 4, 3)]
+        with mock.patch.object(table_module.np, "lexsort", wraps=np.lexsort) as sort:
+            t = build_table(rows, Domain.SEGMENTS)
+        assert sort.call_count == 0
+        shuffled = [rows[i] for i in (3, 1, 5, 0, 4, 2)]
+        with mock.patch.object(table_module.np, "lexsort", wraps=np.lexsort) as sort:
+            assert build_table(shuffled, Domain.SEGMENTS) == t
+        assert sort.call_count == 1
+        assert t.cells == {(1, 2): 4, (1, 3): 3, (2, 2): 5, (2, 7): 1, (4, 4): 3}
+
 
 class TestMarginal:
     def test_x_marginal(self):
@@ -166,6 +179,50 @@ class TestQuantile:
             m.quantile_many(0.0)
         with pytest.raises(UOutOfRange):
             m.quantile_many(1.0000001)
+
+    def test_nan_rejected(self):
+        m = marginal(from_cells({(1, 2): 1, (2, 4): 1}), Axis.X)
+        with pytest.raises(UOutOfRange):
+            m.quantile_many(math.nan)
+        with pytest.raises(UOutOfRange):
+            m.quantile_index(np.array([0.3, math.nan]))
+
+    @given(
+        size=st.integers(1, 3000),
+        seed=st.integers(0, 2**32 - 1),
+        top=st.sampled_from([1, 10, 10**6, 10**15]),
+        tail=st.integers(0, 8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_index_matches_searchsorted(self, size, seed, top, tail):
+        # Counts up to 1e15 give pmf entries near 1e-18, and a tail of
+        # unit counts puts several CDF values just below 1.  Each CDF
+        # value is its exact fraction rounded once, so none passes 1.
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(1, top, size=size, endpoint=True).astype(object)
+        counts[size - min(tail, size):] = 1
+        total = counts.sum()
+        m = MarginalDistribution(
+            support=np.arange(size),
+            pmf=(counts / total).astype(float),
+            cdf=(np.cumsum(counts) / total).astype(float),
+        )
+        k = 1 << max(10, (16 * size - 1).bit_length())  # the guide's bin count
+        edges = np.arange(k + 2) / k
+        u = np.concatenate([
+            m.cdf, edges, [1.0, 2.0**-53, 5e-324],
+            ndtr(rng.standard_normal(4096)),
+        ])
+        u = np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(u, 2.0)])
+        u = u[(u > 0.0) & (u <= 1.0)]
+        expected = np.searchsorted(m.cdf, u, side="left")
+        assert np.array_equal(m.quantile_index(u), expected)
+        even = len(u) // 2 * 2
+        grid = m.quantile_index(u[:even].reshape(2, -1))
+        assert np.array_equal(grid, expected[:even].reshape(2, -1))
+        for i in rng.integers(0, len(u), size=8).tolist():
+            assert m.quantile_index(float(u[i])) == expected[i]
+            assert m.quantile_index(np.asarray(u[i])).shape == ()
 
     @given(segment_cells, st.floats(min_value=1e-9, max_value=1.0))
     @settings(max_examples=80)
