@@ -71,10 +71,7 @@ def cells_from_boundaries(cells: JointProbabilityTable) -> JointProbabilityTable
 def pairs_from_boundaries(pairs: np.ndarray) -> np.ndarray:
     """Map sampled boundary pairs (x', z') to segment pairs (x, z)."""
     pairs = np.asarray(pairs)
-    out = np.empty_like(pairs)
-    out[:, 0] = pairs[:, 0] + 1
-    out[:, 1] = pairs[:, 1] + pairs[:, 0] + 1
-    return out
+    return np.column_stack(_segment_columns(pairs[:, 0], pairs[:, 1]))
 
 
 def boundary_copula_cells(

@@ -162,6 +162,8 @@ def _check_options(args) -> str | None:
     low = 1 if args.command == "sample" else 0
     if args.n < low:
         return f"{args.command} needs --n >= {low}"
+    # The copula that samples are drawn from.
+    args.copula = "copula-boundaries" if args.boundaries else "copula"
     if args.command == "sample":
         return None
     args.models = [m.strip() for m in args.models.split(",") if m.strip()]
@@ -176,33 +178,40 @@ def _check_options(args) -> str | None:
     return None
 
 
-def _draw(model, args):
+def _copula(args, table, comparison):
+    # The args.copula model that samples are drawn from: the one compared
+    # for the report, or one fitted here (on boundary counts under --boundaries).
+    if comparison is not None and args.copula in comparison.copulas:
+        return comparison.copulas[args.copula]
+    fit_table = to_boundaries(table) if args.boundaries else table
+    return fit_copula(fit_table, args.estimator)
+
+
+def _draws(model, args):
     """``sample_indices(model, args.n, args.seed)`` in chunks of rows.
 
-    The chunks come from one Generator, whose stream they continue, so
-    they concatenate to the one-shot draw.
+    Each chunk yields its distinct cells as segment (x, z) pairs and
+    each row's index into them.  The chunks come from one Generator,
+    whose stream they continue, so they concatenate to the one-shot
+    draw.
     """
     rng = np.random.default_rng(args.seed)
+    width = len(model.marginal_z.support)
     for start in range(0, args.n, _SAMPLE_CHUNK):
-        yield sample_indices(model, min(_SAMPLE_CHUNK, args.n - start), rng)
-
-
-def _pairs(model, args, ix, iz) -> np.ndarray:
-    # The sampled (x, z) pairs of support indices, as segment pairs.
-    pairs = model.support_pairs(ix, iz)
-    return pairs_from_boundaries(pairs) if args.boundaries else pairs
+        ix, iz = sample_indices(model, min(_SAMPLE_CHUNK, args.n - start), rng)
+        cells, inverse = np.unique(ix * width + iz, return_inverse=True)
+        pairs = model.support_pairs(cells // width, cells % width)
+        yield (pairs_from_boundaries(pairs) if args.boundaries else pairs), inverse
 
 
 def _cmd_fit(args, table) -> int:
     comparison = compare(table, args.models, args.estimator, args.seed)
     samples = None
     if "svg" in args.emit:
-        # The scatter mirrors `sample`: drawn from the copula fitted for
-        # the report, or from one fitted here when none was selected.
-        name = "copula-boundaries" if args.boundaries else "copula"
+        # The scatter mirrors `sample`.
         try:
-            model = comparison.copulas.get(name) or fit_copula(table, args.estimator)
-            parts = [_pairs(model, args, ix, iz) for ix, iz in _draw(model, args)]
+            model = _copula(args, table, comparison)
+            parts = [cells[inverse] for cells, inverse in _draws(model, args)]
         except MenzerathError as exc:
             # The report stands without the scatter; say why it is missing.
             print(f"warning: figure.svg has no sample scatter: {exc}", file=sys.stderr)
@@ -215,35 +224,28 @@ def _cmd_fit(args, table) -> int:
 
 
 def _cmd_sample(args, table) -> int:
-    name = "copula-boundaries" if args.boundaries else "copula"
     comparison = None
     if "svg" in args.emit:
-        comparison = compare(table, [name], args.estimator, args.seed)
-        model = comparison.copulas[name]
-    else:
-        fit_table = to_boundaries(table) if args.boundaries else table
-        model = fit_copula(fit_table, args.estimator)
+        comparison = compare(table, [args.copula], args.estimator, args.seed)
+    model = _copula(args, table, comparison)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     header = (
-        f"# model={name} estimator={model.estimator.value} "
+        f"# model={args.copula} estimator={model.estimator.value} "
         f"rho={model.rho!r} n={args.n} seed={args.seed}\nx,z\n"
     )
-    width = len(model.marginal_z.support)
     parts = []
     with open(out_dir / "samples.csv", "wb") as out:
         out.write(header.encode("utf-8"))
-        for ix, iz in _draw(model, args):
+        for cells, inverse in _draws(model, args):
             # A row is a function of its cell: format each distinct cell
             # of the chunk once, as a NUL-padded fixed-width string, and
             # gather the rows without their padding.
-            cells, inverse = np.unique(ix * width + iz, return_inverse=True)
-            pairs = _pairs(model, args, cells // width, cells % width)
-            rows = np.array([b"%d,%d\n" % (x, z) for x, z in pairs.tolist()])
+            rows = np.array([b"%d,%d\n" % (x, z) for x, z in cells.tolist()])
             text = rows[inverse].view(np.uint8)
             out.write(text[text != 0].tobytes())
             if comparison is not None:
-                parts.append(pairs[inverse])
+                parts.append(cells[inverse])
     if comparison is not None:
         write_artifacts(out_dir, comparison, {"svg"}, args.n, np.concatenate(parts))
     print(f"wrote {out_dir / 'samples.csv'} ({args.n} pairs, seed {args.seed})")

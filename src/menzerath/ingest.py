@@ -13,7 +13,6 @@ import functools
 import io
 import re
 import sys
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -358,9 +357,8 @@ def _count_block(
         stripped = line.strip()
         if stripped and not stripped.startswith(COMMENT_PREFIX):
             keys.append(_line_key(first + i, line, stripped, fmt))
-    if keys:
-        rows = [(x, z, n) for (x, z), n in Counter(keys).items()]
-        cells.add(*np.array(rows, dtype=np.int64).T)
+    xs, zs = np.array(keys, dtype=np.int64).reshape(-1, 2).T
+    cells.add(xs, zs, np.ones_like(xs))
 
 
 def parse_segmented_corpus(

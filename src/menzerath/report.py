@@ -59,16 +59,6 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-MODEL_ORDER = (
-    "hyperbolic",
-    "altmann",
-    "altmann-direct",
-    "gaussian",
-    "lognormal",
-    "copula",
-    "copula-boundaries",
-)
-
 
 def _closed_form(fit, space: str, derivation: str, curve: MalCurve):
     params = {"a": fit.a, "b": fit.b}
@@ -106,6 +96,7 @@ def _plain_copula(table, estimator):
 
 # name -> fit(table, empirical curve, estimator), returning the model's
 # block fields, predicted curve, cells (or None) and copula (or None).
+# Written in report order, which MODEL_ORDER reads from it.
 _FITS = {
     "hyperbolic": lambda t, c, e: _closed_form(
         hyperbolic_from_linear(fit_linear(t, Space.RAW)), "raw", "moment-closed-form", c),
@@ -118,6 +109,8 @@ _FITS = {
     "copula": lambda t, c, e: _plain_copula(t, e),
     "copula-boundaries": lambda t, c, e: _copula(*boundary_copula_cells(t, e)),
 }
+
+MODEL_ORDER = tuple(_FITS)
 
 
 @dataclass(frozen=True)

@@ -411,7 +411,8 @@ class MarginalDistribution:
         # Python ints divide exactly and round once; float64 would round
         # each count and the total first once the total passes 2**53.
         pmf = (counts.astype(object) / total).astype(float)
-        cdf = np.cumsum(pmf)
+        # A running sum may round above 1 before its end; 1 bounds it.
+        cdf = np.minimum(np.cumsum(pmf), 1.0)
         cdf[-1] = 1.0
         return cls(support=values, pmf=pmf, cdf=cdf)
 

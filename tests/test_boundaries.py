@@ -119,3 +119,12 @@ class TestBoundaryPipeline:
         pairs = pairs_from_boundaries(sample_copula(model, 2000, 3))
         assert np.all(pairs[:, 0] >= 1)
         assert np.all(pairs[:, 1] >= pairs[:, 0])
+
+    def test_pairs_past_int64_raise(self):
+        # x' + z' + 1 = 2**63 + 1, which would wrap to a negative z.
+        with pytest.raises(OverflowError):
+            pairs_from_boundaries(np.array([[2**62, 2**62]]))
+
+    def test_no_pairs_keep_their_shape(self):
+        pairs = pairs_from_boundaries(np.empty((0, 2), dtype=np.int64))
+        assert pairs.shape == (0, 2)

@@ -8,6 +8,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -298,6 +299,19 @@ class TestFit:
             assert result.returncode == 0, result.stderr
             datasets.append(json.loads((out / "report.json").read_text())["dataset"])
         assert datasets[0] == datasets[1]
+
+    def test_cdf_rounding_above_one_is_accepted(self, tmp_path):
+        # The float running sum of the z marginal passes 1 before its
+        # last value, z = 500 with a count of 1.
+        counts = np.random.default_rng(1).integers(1, 10**15, 69, endpoint=True)
+        rows = [f"{i + 1},{2 * i + 2 + i % 3},{counts[i]}\n" for i in range(68)]
+        path = tmp_path / "t.csv"
+        path.write_text("x,z,count\n" + "".join(rows) + "68,500,1\n", encoding="utf-8")
+        result = run(
+            "fit", "--input", str(path), "--boundaries", "--emit", "json,csv,svg",
+            "--out", str(tmp_path / "out"),
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_boundary_domain_table_converted(self, tmp_path):
         path = tmp_path / "b.csv"

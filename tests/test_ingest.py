@@ -339,6 +339,9 @@ class TestBlocks:
     @example("a-b\na--b\n", 1 << 16)  # an empty unit after a plain line
     @example("ab-c\u0301\n\u0915\u094d\u0937-a\nd-e\n", 1 << 16)  # Latin, Devanagari
     @example("a\n \xa0\t\n\u3000\nb-c\n", 1 << 16)  # whitespace-only lines
+    # Repeated lines that take \X, summed within a block and across blocks.
+    @example("\u0915\u094d\u0937-a\n\uac00\u0301\n\u0915\u094d\u0937-a\n" * 3, 1 << 16)
+    @example("\u0915\u094d\u0937-a\n\uac00\u0301\n\u0915\u094d\u0937-a\n" * 3, 7)
     @settings(max_examples=300, deadline=None)
     def test_corpus_matches_cluster_reference(self, text, block):
         with mock.patch.object(ingest, "_BLOCK", block):

@@ -51,6 +51,12 @@ class TestComparisonReport:
     flag and rss guarantees of a report are checked on what it returns.
     """
 
+    def test_model_order(self):
+        assert MODEL_ORDER == (
+            "hyperbolic", "altmann", "altmann-direct", "gaussian", "lognormal",
+            "copula", "copula-boundaries",
+        )
+
     def test_blocks_reordered_canonically(self):
         _, comparison, payload = full_report()
         assert [b["model"] for b in comparison.blocks] == list(MODEL_ORDER)

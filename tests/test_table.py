@@ -160,6 +160,16 @@ class TestMarginal:
             assert m.cdf[-1] == 1.0
             assert np.all(np.diff(m.cdf) >= 0)
 
+    def test_cdf_that_rounds_above_one_is_capped(self):
+        # The float running sum of these pmf values passes 1 before the
+        # last entry; the marginal is valid all the same.
+        counts = np.random.default_rng(1).integers(1, 10**15, 69, endpoint=True)
+        counts[-1] = 1
+        m = MarginalDistribution.from_counts(np.arange(69), counts)
+        assert np.cumsum(m.pmf)[-2] > 1.0
+        assert m.cdf[-1] == 1.0
+        assert np.all(np.diff(m.cdf) >= 0) and np.all(m.cdf <= 1.0)
+
 
 class TestQuantile:
     def test_step_cases(self):
