@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyConstituent, EmptyInput, ParseError
-from .table import Domain, JointFrequencyTable, _Cells, _checked_rows
+from .table import Domain, JointFrequencyTable, _Cells, _checked_rows, _format_rows
 
 __all__ = [
     "CorpusFormat",
@@ -218,15 +218,9 @@ def write_frequency_table(table: JointFrequencyTable) -> str:
     Boundary-domain tables carry the ``#domain=boundaries`` directive,
     so :func:`parse_frequency_table` round-trips every table exactly.
     """
-    lines = []
-    if table.domain is Domain.BOUNDARIES:
-        lines.append("#domain=boundaries")
-    lines.append("x,z,count")
-    lines.extend(
-        f"{x},{z},{n}"
-        for x, z, n in zip(table.xs.tolist(), table.zs.tolist(), table.ns.tolist())
-    )
-    return "\n".join(lines) + "\n"
+    head = ["#domain=boundaries"] if table.domain is Domain.BOUNDARIES else []
+    rows = _format_rows("%d,%d,%d", "\n", table.xs, table.zs, table.ns)
+    return "\n".join([*head, "x,z,count", *rows]) + "\n"
 
 
 def _count_subconstituents(

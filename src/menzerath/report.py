@@ -34,13 +34,14 @@ from .copula import (
     infeasible_mass,
     predicted_mal_from_cells,
 )
-from .errors import MenzerathError
+from .errors import MenzerathError, MismatchedSupport
 from .gaussian import fit_bivariate, predicted_mal
 from .svgfig import render_svg
 from .table import (
     JointFrequencyTable,
     MalCurve,
     Space,
+    _format_rows,
     _run_starts,
     empirical_mal_curve,
     weighted_moments,
@@ -177,7 +178,8 @@ def compare(
     block carries its parameters and the RSS against the empirical
     curve.  Copula blocks also carry ``seed``, the seed of the samples
     drawn from them.  Models are fitted in :data:`MODEL_ORDER`, once
-    each.  ``table`` must be in the segment domain.
+    each.  ``table`` must be in the segment domain.  A model whose curve
+    misses an x of the empirical one raises :class:`MismatchedSupport`.
     """
     names = set(names)
     unknown = sorted(names - set(MODEL_ORDER))
@@ -189,6 +191,12 @@ def compare(
         if name not in names:
             continue
         fields, predicted, model_cells, model = _FITS[name](table, curve, estimator)
+        # A copula curve drops every x its cells give no mass.
+        missing = np.setdiff1d(curve.xs, predicted.xs).tolist()
+        if missing:
+            raise MismatchedSupport(
+                f"model {name!r} puts no mass on x = {', '.join(map(str, missing))}"
+            )
         block = {"model": name, **fields, "rss": rss(curve, predicted)}
         curves[name] = predicted
         if model is not None:
@@ -257,9 +265,9 @@ def cells_csv(table: JointFrequencyTable, model_cells: dict) -> str:
         column[row[end:end + len(v)]] = v
         columns.append(column)
         end += len(v)
-    header = ["x", "z", "count"] + [f"p_{n}" for n in names]
-    rows = zip(*(map(repr, c.tolist()) for c in columns))
-    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
+    header = ",".join(["x", "z", "count"] + [f"p_{n}" for n in names])
+    rows = _format_rows("%d,%d,%d" + ",%r" * len(names), "\n", *columns)
+    return "\n".join([header, *rows]) + "\n"
 
 
 def write_artifacts(out_dir, comparison: Comparison, emit, n: int, samples=None) -> None:

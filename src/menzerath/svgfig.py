@@ -12,7 +12,7 @@ output, element order is fixed, and no external resource is referenced.
 
 import numpy as np
 
-from .table import Domain
+from .table import Domain, _format_rows
 
 __all__ = ["render_svg"]
 
@@ -29,13 +29,11 @@ _COLORS = {
     "copula-boundaries": "#a6761d",
 }
 _MARGIN = 46
-# Rows per %-format call: the transient Python floats and strings of
-# the batched pass follow this constant, not the table.
-_CHUNK = 1 << 16
 
 
 def _f(v: float) -> str:
-    # Fixed two-decimal coordinates keep files compact and deterministic.
+    # Fixed two-decimal coordinates keep files compact and deterministic;
+    # "%.2f" in a _format_rows template gives the same text.
     return f"{v:.2f}"
 
 
@@ -72,34 +70,16 @@ def _axis_frame(out, x0, y0, w, h, xlab, ylab):
 
 
 def _tick_labels(out, x0, y0, w, h, lo_x, hi_x, lo_y, hi_y):
-    out.append(
-        f'<text x="{_f(x0)}" y="{_f(y0 + h + 14)}" font-size="10" '
-        f'text-anchor="middle" fill="#555555">{_f(lo_x)}</text>'
-    )
-    out.append(
-        f'<text x="{_f(x0 + w)}" y="{_f(y0 + h + 14)}" font-size="10" '
-        f'text-anchor="middle" fill="#555555">{_f(hi_x)}</text>'
-    )
-    out.append(
-        f'<text x="{_f(x0 - 6)}" y="{_f(y0 + h)}" font-size="10" '
-        f'text-anchor="end" fill="#555555">{_f(lo_y)}</text>'
-    )
-    out.append(
-        f'<text x="{_f(x0 - 6)}" y="{_f(y0 + 10)}" font-size="10" '
-        f'text-anchor="end" fill="#555555">{_f(hi_y)}</text>'
-    )
-
-
-def _rows(row, sep, *columns):
-    """``row`` filled from ``columns`` once per element, joined by ``sep``.
-
-    Each chunk of ``_CHUNK`` rows is one ``%``-format call (``'%.2f'``
-    formats a float exactly as ``_f`` does); the chunks are yielded in
-    order and themselves join with ``sep``.
-    """
-    for start in range(0, len(columns[0]), _CHUNK):
-        part = np.column_stack([c[start : start + _CHUNK] for c in columns])
-        yield sep.join([row] * len(part)) % tuple(part.ravel().tolist())
+    for x, y, anchor, label in (
+        (x0, y0 + h + 14, "middle", lo_x),
+        (x0 + w, y0 + h + 14, "middle", hi_x),
+        (x0 - 6, y0 + h, "end", lo_y),
+        (x0 - 6, y0 + 10, "end", hi_y),
+    ):
+        out.append(
+            f'<text x="{_f(x)}" y="{_f(y)}" font-size="10" '
+            f'text-anchor="{anchor}" fill="#555555">{_f(label)}</text>'
+        )
 
 
 def _joint_panel(table, samples, ox, oy, width, height):
@@ -136,12 +116,12 @@ def _joint_panel(table, samples, ox, oy, width, height):
     # Python's int division and pow, so no radius rounds differently
     # from the scalar formula.
     r = side * 0.92 * np.array([(n / n_max) ** 0.5 for n in ns.tolist()]) / 2
-    out.extend(_rows(
+    out.extend(_format_rows(
         '<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="#2166ac"/>',
         "\n", sx(xs) - r, sz(zs) - r, 2 * r, 2 * r,
     ))
     if samples is not None and len(samples):
-        pts = _rows(
+        pts = _format_rows(
             '<circle cx="%.2f" cy="%.2f" r="2.5" fill="#d6604d" fill-opacity="0.35"/>',
             "", sx(samples[:, 0]), sz(samples[:, 1]),
         )
@@ -154,7 +134,8 @@ def _joint_panel(table, samples, ox, oy, width, height):
 
 def _curve_paths(curves, empirical, scale_x, scale_y):
     def points(curve):
-        return " ".join(_rows("%.2f,%.2f", " ", scale_x(curve.xs), scale_y(curve.ys)))
+        xys = _format_rows("%.2f,%.2f", " ", scale_x(curve.xs), scale_y(curve.ys))
+        return " ".join(xys)
 
     paths = []
     for name, curve in curves:
@@ -167,7 +148,7 @@ def _curve_paths(curves, empirical, scale_x, scale_y):
         f'<polyline points="{points(empirical)}" fill="none" '
         f'stroke="{_COLORS["empirical"]}" stroke-width="1.2" stroke-dasharray="4 2"/>'
     )
-    paths.extend(_rows(
+    paths.extend(_format_rows(
         f'<circle cx="%.2f" cy="%.2f" r="3" fill="{_COLORS["empirical"]}"/>',
         "\n", scale_x(empirical.xs), scale_y(empirical.ys),
     ))

@@ -22,6 +22,7 @@ import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -54,6 +55,9 @@ MAX_COUNT = 2**63 - 1
 # Integers below this convert to float exactly, so dividing them as
 # floats rounds as Python's exact int division does.
 _EXACT_INT_FLOAT = 2**53
+# Rows per %-format call of _format_rows: the transient Python values
+# and strings of a formatted table follow this constant, not the table.
+_CHUNK = 1 << 16
 
 
 class Domain(enum.Enum):
@@ -107,12 +111,26 @@ def _int_column(values) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
+def _format_rows(row: str, sep: str, *columns):
+    """``row`` filled from ``columns`` once per element, joined by ``sep``.
+
+    The values are each column's ``tolist()``, so int64 counts stay
+    exact.  Each chunk of ``_CHUNK`` rows is one ``%``-format call; the
+    chunks are yielded in order and themselves join with ``sep``.
+    """
+    for start in range(0, len(columns[0]), _CHUNK):
+        values = [c[start : start + _CHUNK].tolist() for c in columns]
+        flat = tuple(chain.from_iterable(zip(*values)))
+        yield sep.join([row] * len(values[0])) % flat
+
+
 def _checked_rows(xs, zs, ns, domain: Domain, lines=None):
     """Validated int64 copies of ``(x, z, count)`` integer row columns.
 
     All rows are checked at once.  The first bad row raises the error a
-    row-by-row scan would, its :class:`InvalidPair` message prefixed
-    with ``line {lines[i]}:`` when ``lines`` is given.
+    row-by-row scan would, an :class:`InvalidPair` or an
+    ``OverflowError``, its message prefixed with ``line {lines[i]}:``
+    when ``lines`` is given.
     """
     cols = [_int_column(v) for v in (xs, zs, ns)]
     x, z, n = cols
@@ -130,11 +148,11 @@ def _checked_rows(xs, zs, ns, domain: Domain, lines=None):
         try:
             _check_pair(x, z, domain)
             _as_count(int(ns[i]))
-        except InvalidPair as exc:
+            raise OverflowError(f"lengths must fit in 64 bits, got ({x}, {z})")
+        except (InvalidPair, OverflowError) as exc:
             if lines is None:
                 raise
-            raise InvalidPair(f"line {lines[i]}: {exc}") from None
-        raise OverflowError(f"lengths must fit in 64 bits, got ({x}, {z})")
+            raise type(exc)(f"line {lines[i]}: {exc}") from None
     return tuple(col.astype(np.int64, copy=False) for col in cols)
 
 

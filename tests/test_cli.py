@@ -313,6 +313,27 @@ class TestFit:
         )
         assert result.returncode == 0, result.stderr
 
+    @pytest.mark.parametrize("flags", [[], ["--boundaries"]])
+    def test_x_without_copula_mass_is_named(self, flags, tmp_path):
+        # A count of 1 on the last x, x = 69, does not move the float
+        # running sum of the x marginal, so the copula gives it no mass.
+        counts = np.random.default_rng(1).integers(1, 10**15, 69, endpoint=True)
+        rows = [f"{i + 1},{2 * i + 2 + i % 3},{counts[i]}\n" for i in range(68)]
+        path = tmp_path / "t.csv"
+        path.write_text("".join(rows) + "69,500,1\n", encoding="utf-8")
+        result = run("fit", "--input", str(path), *flags, "--out", str(tmp_path / "o"))
+        assert result.returncode == 2
+        assert result.stderr == "fit error: model 'copula' puts no mass on x = 69\n"
+
+    def test_count_past_int64_names_its_line(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("1,2,99999999999999999999\n", encoding="utf-8")
+        result = run("fit", "--input", str(path), "--out", str(tmp_path / "o"))
+        assert result.returncode == 1
+        assert result.stderr == (
+            "error: line 1: count 99999999999999999999 exceeds 2**63 - 1\n"
+        )
+
     def test_boundary_domain_table_converted(self, tmp_path):
         path = tmp_path / "b.csv"
         path.write_text("#domain=boundaries\n0,1,5\n1,3,5\n2,4,2\n", encoding="utf-8")

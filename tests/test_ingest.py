@@ -441,6 +441,9 @@ class TestBlocks:
         ("1,2", ParseError),      # malformed
         ("3,2,1", InvalidPair),   # z < x
         ("1,2,0", InvalidPair),   # zero count
+        ("1,2,99999999999999999999", OverflowError),  # count past int64
+        ("99999999999999999999,99999999999999999999,1", OverflowError),  # x
+        ("1,99999999999999999999,1", OverflowError),  # z past int64
     ])
     def test_bad_row_past_the_first_block_keeps_its_line(self, bad, error):
         rows = [f"{x},{x + 1},{x}" for x in range(1, 60)]

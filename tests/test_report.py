@@ -1,18 +1,23 @@
 """Canonical JSON reports and CSV exports."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from menzerath import (
     MODEL_ORDER,
     AltmannFit,
+    Domain,
     Estimator,
     HyperbolicFit,
     MenzerathError,
     Space,
     boundary_copula_cells,
+    build_table,
     cell_probabilities,
     cells_csv,
     compare,
@@ -26,10 +31,13 @@ from menzerath import (
     predicted_mal,
     predicted_mal_from_cells,
     rss,
+    to_boundaries,
+    write_frequency_table,
     write_report,
 )
+from menzerath import table as table_module
 
-from util import random_table
+from util import probability_table, random_table
 
 
 def sample_report():
@@ -189,6 +197,31 @@ class TestCsvExports:
         assert total_count == t.total
         total_p = sum(float(line.split(",")[3]) for line in lines[1:])
         assert total_p == pytest.approx(1.0, abs=1e-9)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 7))
+    @settings(max_examples=50, deadline=None)
+    def test_row_chunks_move_no_byte(self, seed, chunk):
+        t = random_table(np.random.default_rng(seed))
+        cells = compare(t, ["copula", "copula-boundaries"]).cells
+
+        def texts():
+            return (cells_csv(t, cells), write_frequency_table(t),
+                    write_frequency_table(to_boundaries(t)))
+
+        want = texts()
+        with mock.patch.object(table_module, "_CHUNK", chunk):
+            assert texts() == want
+
+    @pytest.mark.parametrize("chunk", [1, 1 << 16])
+    def test_counts_keep_every_digit(self, chunk):
+        n = 2**60 + 1  # a float64 column would print it as 2**60
+        t = build_table([(1, 2, n), (2, 5, 3)], Domain.SEGMENTS)
+        cells = probability_table(Domain.SEGMENTS, {(1, 2): 0.25, (2, 4): 0.75})
+        with mock.patch.object(table_module, "_CHUNK", chunk):
+            assert write_frequency_table(t) == f"x,z,count\n1,2,{n}\n2,5,3\n"
+            assert cells_csv(t, {"copula": cells}) == (
+                f"x,z,count,p_copula\n1,2,{n},0.25\n2,4,0,0.75\n2,5,3,0.0\n"
+            )
 
     def test_deterministic(self):
         t, _ = sample_report()

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from menzerath import compare, render_svg, sample_copula, svgfig, to_boundaries
+from menzerath import table as table_module
 
 from util import random_table, ref_curve_paths, ref_joint_panel, scaled
 
@@ -107,15 +108,24 @@ class TestBatchedFormatting:
             expected = render_svg(comparison, samples)
         # Chunks of 1-7 rows, so the cells, the scatter and the curve
         # points all cross a chunk edge.
-        with mock.patch.object(svgfig, "_CHUNK", chunk):
+        with mock.patch.object(table_module, "_CHUNK", chunk):
             assert render_svg(comparison, samples) == expected
 
     def test_default_chunk_edge(self, scene):
         comparison, _ = scene
-        samples = sample_copula(comparison.copulas["copula"], svgfig._CHUNK + 3, 5)
+        samples = sample_copula(comparison.copulas["copula"], table_module._CHUNK + 3, 5)
         with mock.patch.object(svgfig, "_joint_panel", ref_joint_panel):
             expected = render_svg(comparison, samples)
         assert render_svg(comparison, samples) == expected
+
+
+def test_chunk_constant_lives_with_the_formatter():
+    # svgfig holds no copy of _CHUNK, so patching one there cannot
+    # silently leave the formatter's chunks as they are.
+    assert svgfig._format_rows is table_module._format_rows
+    with pytest.raises(AttributeError):
+        with mock.patch.object(svgfig, "_CHUNK", 1):
+            pass
 
 
 @given(st.text(alphabet=st.sampled_from("&<>;amp#\"'x") | st.characters()))

@@ -17,13 +17,13 @@ from menzerath import (
     Domain,
     EmptyConstituent,
     EmptyInput,
+    InvalidPair,
     JointFrequencyTable,
     JointProbabilityTable,
     ParseError,
     build_table,
 )
 from menzerath.svgfig import _MARGIN, _COLORS, _axis_frame, _f, _scale, _tick_labels
-from menzerath.table import _checked_rows
 
 
 def expand(table: JointFrequencyTable) -> tuple[np.ndarray, np.ndarray]:
@@ -226,15 +226,37 @@ def ref_corpus(source, delimiter: str = "-", subdelimiter: str | None = None) ->
     return cells
 
 
-def ref_frequency_table(source) -> JointFrequencyTable:
-    """Table rows read one line at a time with ``int()``, checked at the end.
+def ref_row_error(x: int, z: int, n: int, domain: Domain):
+    """``(error type, message)`` of the first rule a row breaks, or None.
 
-    The rows before a malformed line are checked first, so the earliest
-    bad line wins, with the messages of the package's row check.
+    The rules in order: the domain's pair rules, then a count from 1 to
+    2**63 - 1, then both lengths inside int64.
+    """
+    if domain is Domain.SEGMENTS:
+        if x < 1:
+            return InvalidPair, f"x must be >= 1 in segment domain, got ({x}, {z})"
+        if z < x:
+            return InvalidPair, f"z must be >= x in segment domain, got ({x}, {z})"
+    elif x < 0 or z < 0:
+        return InvalidPair, f"boundary counts must be >= 0, got ({x}, {z})"
+    if n < 1:
+        return InvalidPair, f"count must be >= 1, got {n}"
+    if n > 2**63 - 1:
+        return OverflowError, f"count {n} exceeds 2**63 - 1"
+    if not (-(2**63) <= x < 2**63 and -(2**63) <= z < 2**63):
+        return OverflowError, f"lengths must fit in 64 bits, got ({x}, {z})"
+    return None
+
+
+def ref_frequency_table(source) -> JointFrequencyTable:
+    """Table rows read and checked one line at a time with ``int()``.
+
+    The first bad line raises, whether it is malformed or breaks a row
+    rule of :func:`ref_row_error`; a total past 2**63 - 1 raises after
+    the last line.
     """
     domain = Domain.SEGMENTS
-    xs, zs, ns, numbers = [], [], [], []
-    failure = None
+    rows = []
     for number, line in enumerate(ref_lines(source), start=1):
         stripped = line.strip()
         if not stripped:
@@ -242,34 +264,29 @@ def ref_frequency_table(source) -> JointFrequencyTable:
         if stripped.startswith("#"):
             directive = stripped.replace(" ", "").lower()
             if directive in ("#domain=segments", "#domain=boundaries"):
-                if numbers:
-                    failure = ParseError(
-                        number, line, "domain directive must precede data"
-                    )
-                    break
+                if rows:
+                    raise ParseError(number, line, "domain directive must precede data")
                 domain = Domain(directive.split("=")[1])
             continue
         fields = [f.strip() for f in stripped.split("\t" if "\t" in stripped else ",")]
-        if not numbers and [f.lower() for f in fields] == ["x", "z", "count"]:
+        if not rows and [f.lower() for f in fields] == ["x", "z", "count"]:
             continue
         if len(fields) != 3:
-            failure = ParseError(number, line, f"expected 3 fields, got {len(fields)}")
-            break
+            raise ParseError(number, line, f"expected 3 fields, got {len(fields)}")
         try:
             x, z, n = map(int, fields)
         except ValueError:
-            failure = ParseError(number, line, "fields must be integers")
-            break
-        xs.append(x)
-        zs.append(z)
-        ns.append(n)
-        numbers.append(number)
-    rows = _checked_rows(xs, zs, ns, domain, lines=numbers)
-    if failure is not None:
-        raise failure
-    if not numbers:
+            raise ParseError(number, line, "fields must be integers") from None
+        error = ref_row_error(x, z, n, domain)
+        if error is not None:
+            kind, message = error
+            raise kind(f"line {number}: {message}")
+        rows.append((x, z, n))
+    if not rows:
         raise EmptyInput("no data rows in input")
-    return build_table(zip(*rows), domain)
+    if sum(n for _, _, n in rows) > 2**63 - 1:
+        raise OverflowError("total count exceeds 2**63 - 1")
+    return build_table(rows, domain)
 
 
 # Element-by-element references for the batched kernels: every case of
