@@ -32,8 +32,10 @@ _MARGIN = 46
 
 
 def _f(v: float) -> str:
-    # Fixed two-decimal coordinates keep files compact and deterministic;
-    # "%.2f" in a _format_rows template gives the same text.
+    # Fixed two-decimal coordinates keep files compact and deterministic.
+    # "%.2f" in a _format_rows template gives the same text: on a float64
+    # column the float text kernel renders it, with Python's own "%.2f"
+    # for the values it cannot prove.
     return f"{v:.2f}"
 
 

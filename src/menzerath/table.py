@@ -26,6 +26,7 @@ from itertools import chain
 
 import numpy as np
 
+from . import _text
 from .errors import (
     DegenerateVariance,
     EmptyInput,
@@ -58,6 +59,8 @@ _EXACT_INT_FLOAT = 2**53
 # Rows per %-format call of _format_rows: the transient Python values
 # and strings of a formatted table follow this constant, not the table.
 _CHUNK = 1 << 16
+# The float fields that _format_rows renders with a numpy kernel.
+_KERNELS = {"r": _text.format_repr, ".2f": _text.format_2f}
 
 
 class Domain(enum.Enum):
@@ -115,13 +118,32 @@ def _format_rows(row: str, sep: str, *columns):
     """``row`` filled from ``columns`` once per element, joined by ``sep``.
 
     The values are each column's ``tolist()``, so int64 counts stay
-    exact.  Each chunk of ``_CHUNK`` rows is one ``%``-format call; the
-    chunks are yielded in order and themselves join with ``sep``.
+    exact.  A ``%r`` or ``%.2f`` field of a float64 column takes its
+    text from :mod:`._text` instead, the same bytes Python's ``%`` would
+    give, filled in as ``%s`` of a bytes template.  Each chunk of
+    ``_CHUNK`` rows is one ``%``-format call; the chunks are yielded in
+    order and themselves join with ``sep``.
     """
+    head, *fields = row.split("%")
+    specs = [".2f" if f.startswith(".2f") else f[:1] for f in fields]
+    kernels = [None] * len(columns)
+    # A bytes template fills these fields as a str one does; a "%%"
+    # leaves more fields than columns.
+    if len(fields) == len(columns) and set(specs) <= {"d", "r", ".2f"}:
+        kernels = [_KERNELS.get(spec) if c.dtype == np.float64 else None
+                   for spec, c in zip(specs, columns)]
+    as_bytes = any(kernels)
+    if as_bytes:
+        row = "%".join([head] + [
+            "s" + f[len(spec):] if k else f for f, spec, k in zip(fields, specs, kernels)
+        ]).encode()
+        sep = sep.encode()
     for start in range(0, len(columns[0]), _CHUNK):
-        values = [c[start : start + _CHUNK].tolist() for c in columns]
-        flat = tuple(chain.from_iterable(zip(*values)))
-        yield sep.join([row] * len(values[0])) % flat
+        parts = [c[start : start + _CHUNK] for c in columns]
+        values = [(k(p) if k else p).tolist() for k, p in zip(kernels, parts)]
+        chunk = sep.join([row] * len(values[0])) % tuple(chain.from_iterable(zip(*values)))
+        del values  # before a bytes chunk is decoded next to itself
+        yield chunk.decode() if as_bytes else chunk
 
 
 def _checked_rows(xs, zs, ns, domain: Domain, lines=None):
@@ -291,14 +313,16 @@ class JointFrequencyTable(_CellColumns):
     order with every count >= 1, their exact ``total``, and the
     ascending distinct values of each axis, ``support_x`` and
     ``support_z``.  All are computed and checked once, at construction.
-    ``cells`` is a read-only mapping view of the columns.
+    ``cells`` is a read-only mapping view of the columns.  The table also
+    keeps the :class:`WeightedMoments` of each :class:`Space` once
+    :func:`weighted_moments` has computed them.
 
     Build one from unordered ``(x, z, count)`` rows with
     :func:`build_table`; the constructor takes integer columns that are
     already in strictly ascending (x, z) order.
     """
 
-    __slots__ = ("ns", "total", "support_x", "support_z")
+    __slots__ = ("ns", "total", "support_x", "support_z", "_moments_by_space")
     _VALUE = "ns"
 
     def __init__(self, domain: Domain, xs, zs, ns):
@@ -309,6 +333,7 @@ class JointFrequencyTable(_CellColumns):
             total=_exact_total(self.ns),
             support_x=self.xs[_run_starts(self.xs)],
             support_z=np.unique(self.zs),
+            _moments_by_space={},
         )
 
     def __eq__(self, other):
@@ -629,8 +654,12 @@ def weighted_moments(
     One pass over the table: each axis's mean and variance once, then
     the covariance once.  Population convention, cell counts as weights.
     Log space needs positive values (x = z = 1 is fine, ln 1 = 0); see
-    :class:`WeightedMoments` for what stays undefined.
+    :class:`WeightedMoments` for what stays undefined.  The pass runs once
+    per table and space; later calls return the moments the table keeps.
     """
-    return _moments(
-        _axis_values(table.xs, space), _axis_values(table.zs, space), table.ns
-    )
+    memo = table._moments_by_space
+    if space not in memo:
+        memo[space] = _moments(
+            _axis_values(table.xs, space), _axis_values(table.zs, space), table.ns
+        )
+    return memo[space]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from menzerath import (
+    MODEL_ORDER,
     Axis,
     DegenerateVariance,
     Domain,
@@ -22,6 +23,7 @@ from menzerath import (
     UOutOfRange,
     WrongDomain,
     build_table,
+    compare,
     empirical_mal_curve,
     marginal,
     parse_frequency_table,
@@ -334,6 +336,32 @@ class TestWeightedMoments:
             m = weighted_moments(t, Space.LOG)
             assert abs(m.mean_z - np.log(ez).mean()) <= 1e-12
             assert abs(m.sd_z - np.log(ez).std()) <= 1e-12
+
+    def test_one_pass_per_table_and_space(self):
+        # A full comparison with both copulas asks for the moments eight
+        # times: raw and log on the table, raw on its boundary table.
+        t = random_table(np.random.default_rng(11))
+        passes = []
+        moments = table_module._moments
+
+        def counted(*args):
+            passes.append(args)
+            return moments(*args)
+
+        with mock.patch.object(table_module, "_moments", counted):
+            comparison = compare(t, MODEL_ORDER)
+            comparison.dataset
+            again = weighted_moments(t, Space.RAW)
+        assert len(passes) == 3
+        assert again is weighted_moments(t, Space.RAW)
+        for space in Space:
+            fresh = moments(
+                table_module._axis_values(t.xs, space),
+                table_module._axis_values(t.zs, space),
+                t.ns,
+            )
+            assert weighted_moments(t, space) == fresh
+            assert weighted_moments(pickle.loads(pickle.dumps(t)), space) == fresh
 
 
 class TestWeightedCorrelation:

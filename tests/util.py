@@ -8,6 +8,7 @@ normal equations, and integrals evaluated by adaptive quadrature.
 
 import io
 import math
+from itertools import chain
 
 import numpy as np
 import regex
@@ -23,6 +24,7 @@ from menzerath import (
     ParseError,
     build_table,
 )
+from menzerath import table as table_module
 from menzerath.svgfig import _MARGIN, _COLORS, _axis_frame, _f, _scale, _tick_labels
 
 
@@ -287,6 +289,20 @@ def ref_frequency_table(source) -> JointFrequencyTable:
     if sum(n for _, _, n in rows) > 2**63 - 1:
         raise OverflowError("total count exceeds 2**63 - 1")
     return build_table(rows, domain)
+
+
+def ref_format_rows(row: str, sep: str, *columns):
+    """``table._format_rows`` with every field filled by Python's ``%``.
+
+    Each chunk of ``table._CHUNK`` rows is one ``%``-format call on the
+    columns' ``tolist()`` values, the way the package formatted rows
+    before it rendered float fields with its own kernel.
+    """
+    chunk = table_module._CHUNK
+    for start in range(0, len(columns[0]), chunk):
+        values = [c[start : start + chunk].tolist() for c in columns]
+        flat = tuple(chain.from_iterable(zip(*values)))
+        yield sep.join([row] * len(values[0])) % flat
 
 
 # Element-by-element references for the batched kernels: every case of
