@@ -23,7 +23,7 @@ from menzerath.table import _format_rows
 
 from util import ref_format_rows
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
 
 
