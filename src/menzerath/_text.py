@@ -1,10 +1,13 @@
-"""Python's ``repr`` and ``'%.2f'`` of a whole float64 array at once.
+"""Python's ``%d``, ``repr`` and ``'%.2f'`` of a whole array at once.
 
-:func:`format_repr` and :func:`format_2f` return NUL-padded bytes
-arrays (``S24``, wider only for a long ``'%.2f'`` text) whose
-``tolist()`` holds, element for element, the bytes of ``repr(v)`` and
-``'%.2f' % v``.  Each element is either proved here or formatted by
-Python's own ``%``; the bytes are the same either way.
+:func:`slots_d`, :func:`slots_r` and :func:`slots_2f` render a block
+of an int64 or float64 array as a uint8 matrix, one row per element,
+whose bytes without their NULs are ``b"%d" % v``, ``repr(v)`` or
+``b"%.2f" % v``.  :func:`format_repr` and :func:`format_2f` return the
+same texts as a bytes array (``S24``, wider only for a long ``'%.2f'``
+text), whose ``tolist()`` holds them element for element.  Each float
+element is either proved here or formatted by Python's own ``%``; the
+bytes are the same either way.
 
 Error bounds.  Both texts come from ``N``, the nearest integer to
 ``x * 10**s`` for ``x = |v|``, and the residual ``r = x * 10**s - N``.
@@ -45,9 +48,18 @@ written as ``0.0`` or ``-0.0`` directly.  ``'%.2f'`` leaves ``|v| >=
 1e15``, NaN and infinities to Python; below ``1e-280`` its ``N`` is 0,
 far from any tie, whatever Dekker's split gives there.
 
-Text.  The digits of the chosen integer come from a table of 4-digit
-words, and each distinct layout (sign, digit count, and the decimal
-point's place or the exponent form) is one gather of source columns.
+Text.  Every text is a slot: a row of bytes whose NULs are padding,
+so that a row formatter can place the slots of many fields side by
+side and drop the padding of a whole block in one step.  Digits come
+from a table of 4-digit words (:func:`_quads`), in three forms: zero
+padded, with leading zeros as NULs, and the same keeping the units
+digit.  ``%d`` and ``'%.2f'`` are right-aligned slots: the digits of
+``|v|`` (of ``N // 100`` for ``'%.2f'``, then the word ``".dd"``) with
+their leading zeros as NULs, and ``"-"`` in the first column of a
+negative value's row.  ``|v|`` of an int64 is taken as a uint64, so
+``-2**63`` is exact.  ``repr`` rows are left-aligned: each distinct
+layout (sign, digit count, and the decimal point's place or the
+exponent form) is one gather of source columns.
 """
 import functools
 
@@ -59,10 +71,15 @@ _SPLIT = 134217729.0  # 2**27 + 1: Dekker's splitter of a 53-bit significand
 _POWER_MIN, _POWER_MAX = -266, 297
 _MANTISSA = np.uint64((1 << 52) - 1)
 _EXPONENT = np.uint64(0x7FF << 52)
-_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_E4, _E8 = np.uint64(10**4), np.uint64(10**8)
 # Values per block: the block's temporaries, about 60 arrays of it,
 # stay small next to a chunk of formatted rows.
 _BLOCK = 1 << 13
+# Word offsets in _quads: "%04d" % i is word i; LEAD + i has its leading
+# zeros as NULs (LEAD itself is four NULs); UNITS + i keeps the units
+# digit; CENTS + i, for i < 100, is ".%02d" and a NUL; SIGNS is "-.e+".
+_LEAD, _UNITS, _CENTS = 10**4, 2 * 10**4, 3 * 10**4
+_SIGNS = _CENTS + 100
 # Columns of a source row (_source): 20 digits, an exponent's 4, then
 # the constants; column 0 always holds a "0".
 _ZERO, _MINUS, _DOT, _E, _PLUS, _NUL = 0, 24, 25, 26, 27, 28
@@ -90,17 +107,28 @@ def _powers():
 
 @functools.cache
 def _quads():
-    """Text of ``"%04d" % i`` for ``i < 10**4`` as uint32 words, and its trailing zeros.
+    """The text words (uint32, 4 bytes each) at the offsets above, and trailing zeros.
 
-    Word ``10**4`` is ``b"-.e+"`` and word ``10**4 + 1`` is NULs.
+    The second table is the count of trailing zeros of ``"%04d" % i``.
     """
     i = np.arange(10**4)
     digits = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1) + 48
-    text = np.concatenate([digits.astype(np.uint8).ravel(), np.frombuffer(b"-.e+\0\0\0\0", np.uint8)])
+    significant = np.searchsorted([1, 10, 100, 1000], i, side="right")
+    column = np.arange(4)
+    cents = np.zeros_like(digits)
+    cents[:100, 0] = ord(".")
+    cents[:100, 1:3] = digits[:100, 2:]
+    text = np.concatenate([
+        digits,
+        np.where(column >= 4 - significant[:, None], digits, 0),
+        np.where(column >= 4 - np.maximum(significant, 1)[:, None], digits, 0),
+        cents,
+    ]).astype(np.uint8)
+    text[_SIGNS] = np.frombuffer(b"-.e+", np.uint8)
     zeros = np.full(10**4, 4, dtype=np.intp)
     for k in (3, 2, 1, 0):
         zeros[i % 10 ** (k + 1) != 0] = k
-    return _frozen(text.view(np.uint32)), _frozen(zeros)
+    return _frozen(text.view(np.uint32).ravel()), _frozen(zeros)
 
 
 def _frozen(a):
@@ -132,26 +160,56 @@ def _nearest(x, s):
 
 
 def _source(m, exp):
-    """Source rows for the layouts, and the digit groups of ``m``.
+    """Source rows for the repr layouts, and the digit groups of ``m``.
 
     Row ``i`` is 32 bytes: ``m[i]`` (``0 <= m < 10**17``) as 20
     zero-padded digits, ``exp[i]`` (``0 <= exp < 10**4``) as 4, then
     ``b"-.e+"`` and 4 NULs.  The groups are the 4-digit words of ``m``.
     """
-    text = _quads()[0]
     q = np.empty((len(m), 8), dtype=np.intp)
-    high = m // 10**8
-    low = m - high * 10**8
-    top = high // 10**4
-    q[:, 0] = top // 10**4
-    q[:, 1] = top - q[:, 0] * 10**4
-    q[:, 2] = high - top * 10**4
-    q[:, 3] = low // 10**4
-    q[:, 4] = low - q[:, 3] * 10**4
+    u = m.view(np.uint64)
+    high = u // _E8
+    low = u - high * _E8
+    top = high // _E4
+    first, fourth = top // _E4, low // _E4
+    q[:, 0], q[:, 1], q[:, 2] = first, top - first * _E4, high - top * _E4
+    q[:, 3], q[:, 4] = fourth, low - fourth * _E4
     q[:, 5] = exp
-    q[:, 6] = 10**4
-    q[:, 7] = 10**4 + 1
-    return text[q].view(np.uint8), q
+    q[:, 6] = _SIGNS
+    q[:, 7] = _LEAD
+    return _quads()[0][q].view(np.uint8), q
+
+
+def _right_aligned(u, neg, tail=None):
+    """Slots of ``u`` (uint64) as right-aligned digits with ``"-"`` where ``neg``.
+
+    Leading zeros are NULs, and ``tail``, a word index per row, follows
+    the digits.  Only the words that the block's widest row needs are
+    made: from the last, word ``r`` takes its LEAD form when ``u <
+    10**(4 * (r + 1))``, and the last word its UNITS form when ``u <
+    10**4``.
+    """
+    text = _quads()[0]
+    digits = len(str(int(u.max(initial=0))))
+    signed = bool(neg.any())
+    count = (digits + signed + 3) // 4
+    words = [] if tail is None else [text[tail]]
+    rest = u
+    for r in range(count):
+        form = _UNITS if r == 0 else _LEAD
+        if r < count - 1:
+            high = rest // _E4
+            word = (rest - high * _E4).astype(np.intp)
+            rest = high
+            word += form * (u < np.uint64(10 ** (4 * r + 4)))
+        else:
+            word = rest.astype(np.intp) + form
+        words.append(text[word])
+    rows = np.stack(words[::-1], axis=1).view(np.uint8)
+    start = 4 * count - digits - signed
+    if signed:
+        rows[:, start] = neg * ord("-")
+    return rows[:, start:]
 
 
 def _gather(src, keys, index):
@@ -173,11 +231,6 @@ def _gather(src, keys, index):
     out = np.empty_like(part)
     out.view("V24").ravel()[order] = part.view("V24").ravel()
     return out
-
-
-def _row(cols, neg):
-    cols = [_MINUS] * neg + cols
-    return _frozen(np.array(cols + [_NUL] * (24 - len(cols)), dtype=np.intp))
 
 
 # A repr key is ((neg * 21 + width) * 21 + ndigits) * 24 + form: the
@@ -206,47 +259,61 @@ def _repr_index(key):
         cols = digits[:1] + ([_DOT] + digits[1:] if nd > 1 else [])
         cols += [_E, _MINUS if (form - 20) // 2 else _PLUS]
         cols += list(range(24 - explen, 24))
-    return _row(cols, neg)
+    cols = [_MINUS] * neg + cols
+    return _frozen(np.array(cols + [_NUL] * (24 - len(cols)), dtype=np.intp))
 
 
-# A '%.2f' key is neg * 21 + width, width the digit count of N, at least 3.
-@functools.cache
-def _2f_index(key):
-    neg, width = divmod(key, 21)
-    return _row(list(range(20 - width, 18)) + [_DOT, 18, 19], neg)
-
-
-def _run(block, spec, values):
-    """Text of ``values`` from ``block``, a block at a time; Python's ``spec`` for the rest.
-
-    ``block`` maps a float64 block to its ``(n, 24)`` text rows and a
-    mask of the rows it has proved.
-    """
-    v = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    out = np.empty(len(v), dtype="S24")
-    rows = out.view(np.uint8).reshape(-1, 24)
-    sure = np.empty(len(v), dtype=bool)
-    for start in range(0, len(v), _BLOCK):
-        end = start + _BLOCK
-        rows[start:end], sure[start:end] = block(v[start:end])
+def _fallback(rows, sure, spec, v):
+    """``rows`` with Python's ``spec % x``, left-aligned, in each row not ``sure``."""
     pick = np.flatnonzero(~sure)
     if len(pick):
         texts = [(spec % x).encode("ascii") for x in v[pick].tolist()]
         widest = max(map(len, texts))
-        if widest > out.itemsize:
-            out = out.astype(f"S{widest}")
-        out[pick] = texts
-    return out
+        if widest > rows.shape[1]:
+            rows = np.pad(rows, ((0, 0), (0, widest - rows.shape[1])))
+        width = rows.shape[1]
+        rows[pick] = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+    return rows
+
+
+def slots_d(values) -> np.ndarray:
+    """``b"%d" % v`` for each element of an int64 array, as slots."""
+    v = np.asarray(values)
+    # |-2**63| wraps to -2**63, whose uint64 view is 2**63 itself.
+    return _right_aligned(np.abs(v).view(np.uint64), v < 0)
+
+
+def slots_r(values) -> np.ndarray:
+    """``repr(v)`` for each element of a float64 array, as slots."""
+    v = np.ascontiguousarray(values, dtype=np.float64)
+    return _fallback(*_repr_block(v), "%r", v)
+
+
+def slots_2f(values) -> np.ndarray:
+    """``b"%.2f" % v`` for each element of a float64 array, as slots."""
+    v = np.ascontiguousarray(values, dtype=np.float64)
+    return _fallback(*_2f_block(v), "%.2f", v)
+
+
+def _texts(slots, values):
+    v = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    parts = [np.empty(0, dtype="S24")]
+    for start in range(0, len(v), _BLOCK):
+        rows = slots(v[start : start + _BLOCK])
+        # Each row's text moved to its start: a stable sort by "is NUL".
+        rows = np.take_along_axis(rows, np.argsort(rows == 0, axis=1, kind="stable"), axis=1)
+        parts.append(np.ascontiguousarray(rows).view(f"S{rows.shape[1]}").ravel())
+    return np.concatenate(parts)
 
 
 def format_repr(values) -> np.ndarray:
     """``repr`` of each element of a float64 array, as an ``S24`` array."""
-    return _run(_repr_block, "%r", values)
+    return _texts(slots_r, values)
 
 
 def format_2f(values) -> np.ndarray:
     """``'%.2f' % v`` for each element of a float64 array, as bytes (``S24`` or wider)."""
-    return _run(_2f_block, "%.2f", values)
+    return _texts(slots_2f, values)
 
 
 def _repr_block(v):
@@ -304,7 +371,6 @@ def _repr_block(v):
 
 def _2f_block(v):
     bits = v.view(np.uint64)
-    neg = (bits >> np.uint64(63)).astype(np.int16)
     x = np.abs(v)
     searched = x < 1e15
     x = np.where(searched, x, 0.0)
@@ -317,7 +383,6 @@ def _2f_block(v):
     k = np.rint(t)
     sure = searched & (np.abs(t - k) < 0.5 - _TOL)
     n = n0.astype(np.int64) + k.astype(np.int64)
-    src, _ = _source(n, 0)
-    width = np.maximum(np.searchsorted(_POW10, n, side="right"), 3)
-    body = _gather(src, (neg * 21 + width).astype(np.int16), _2f_index)
+    whole = n // 100
+    body = _right_aligned(whole.view(np.uint64), bits >> np.uint64(63), n - whole * 100 + _CENTS)
     return body, sure

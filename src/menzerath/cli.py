@@ -22,7 +22,7 @@ from .copula import Estimator, fit_copula, sample_indices
 from .errors import EmptyConstituent, EmptyInput, InvalidPair, MenzerathError, ParseError
 from .ingest import CorpusFormat, parse_frequency_table, parse_segmented_corpus
 from .report import MODEL_ORDER, compare, write_artifacts
-from .table import Domain
+from .table import Domain, _row_matrix, _unpadded
 
 __all__ = ["main"]
 
@@ -238,12 +238,10 @@ def _cmd_sample(args, table) -> int:
     with open(out_dir / "samples.csv", "wb") as out:
         out.write(header.encode("utf-8"))
         for cells, inverse in _draws(model, args):
-            # A row is a function of its cell: format each distinct cell
-            # of the chunk once, as a NUL-padded fixed-width string, and
-            # gather the rows without their padding.
-            rows = np.array([b"%d,%d\n" % (x, z) for x, z in cells.tolist()])
-            text = rows[inverse].view(np.uint8)
-            out.write(text[text != 0].tobytes())
+            # A row is a function of its cell: render each distinct cell
+            # of the chunk once, as a NUL-padded row, and gather the rows
+            # without their padding.
+            out.write(_unpadded(_row_matrix("%d,%d\n", cells[:, 0], cells[:, 1])[inverse]))
             if comparison is not None:
                 parts.append(cells[inverse])
     if comparison is not None:

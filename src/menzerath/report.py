@@ -38,6 +38,7 @@ from .errors import MenzerathError, MismatchedSupport
 from .gaussian import fit_bivariate, predicted_mal
 from .svgfig import render_svg
 from .table import (
+    MAX_COUNT,
     JointFrequencyTable,
     MalCurve,
     Space,
@@ -250,7 +251,15 @@ def cells_csv(table: JointFrequencyTable, model_cells: dict) -> str:
     values = [table.ns] + [model_cells[n].ps for n in names]
     xs = np.concatenate([s.xs for s in sources])
     zs = np.concatenate([s.zs for s in sources])
-    order = np.lexsort((zs, xs))
+    # Each source ascends in (x, z), so a stable sort of the packed key
+    # (x - x_min) * z_span + (z - z_min) merges their runs, in the order
+    # lexsort gives, wherever that key fits in int64.
+    x_min, z_min = int(xs.min()), int(zs.min())
+    z_span = int(zs.max()) - z_min + 1
+    if (int(xs.max()) - x_min + 1) * z_span <= MAX_COUNT:
+        order = np.argsort((xs - x_min) * z_span + (zs - z_min), kind="stable")
+    else:
+        order = np.lexsort((zs, xs))
     starts = _run_starts(xs[order], zs[order])
     # Union row of every concatenated cell.
     first = np.zeros(len(xs), dtype=np.intp)

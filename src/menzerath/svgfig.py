@@ -34,8 +34,8 @@ _MARGIN = 46
 def _f(v: float) -> str:
     # Fixed two-decimal coordinates keep files compact and deterministic.
     # "%.2f" in a _format_rows template gives the same text: on a float64
-    # column the float text kernel renders it, with Python's own "%.2f"
-    # for the values it cannot prove.
+    # column it is a slot of the numpy text kernel, with Python's own
+    # "%.2f" for the values the kernel cannot prove.
     return f"{v:.2f}"
 
 
@@ -114,13 +114,16 @@ def _joint_panel(table, samples, ox, oy, width, height):
                 f'height="{_f(sz(lo_z - 0.5) - sz(top + 0.5))}" '
                 'fill="#dddddd"/>'
             )
-    n_max = int(ns.max())
-    # Python's int division and pow, so no radius rounds differently
-    # from the scalar formula.
-    r = side * 0.92 * np.array([(n / n_max) ** 0.5 for n in ns.tolist()]) / 2
+    counts, inverse = np.unique(ns, return_inverse=True)
+    n_max = int(counts[-1])
+    # Python's int division and pow, once per distinct count, so no
+    # radius rounds differently from the scalar formula.
+    root = np.array([(n / n_max) ** 0.5 for n in counts.tolist()])
+    r = side * 0.92 * root[inverse] / 2
+    d = 2 * r
     out.extend(_format_rows(
         '<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="#2166ac"/>',
-        "\n", sx(xs) - r, sz(zs) - r, 2 * r, 2 * r,
+        "\n", sx(xs) - r, sz(zs) - r, d, d,
     ))
     if samples is not None and len(samples):
         pts = _format_rows(

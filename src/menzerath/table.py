@@ -56,11 +56,16 @@ MAX_COUNT = 2**63 - 1
 # Integers below this convert to float exactly, so dividing them as
 # floats rounds as Python's exact int division does.
 _EXACT_INT_FLOAT = 2**53
-# Rows per %-format call of _format_rows: the transient Python values
-# and strings of a formatted table follow this constant, not the table.
+# Rows per chunk that _format_rows yields: the text held at once
+# follows this constant, not the table.
 _CHUNK = 1 << 16
-# The float fields that _format_rows renders with a numpy kernel.
-_KERNELS = {"r": _text.format_repr, ".2f": _text.format_2f}
+# The fields _format_rows renders in numpy: the column dtype each
+# needs, and its slot renderer.
+_SLOTS = {
+    "d": (np.int64, _text.slots_d),
+    "r": (np.float64, _text.slots_r),
+    ".2f": (np.float64, _text.slots_2f),
+}
 
 
 class Domain(enum.Enum):
@@ -114,36 +119,94 @@ def _int_column(values) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
+def _slot_template(row: str, sep: str, columns):
+    """The literal bytes around ``row``'s fields and each field's renderer.
+
+    The last literal ends with ``sep``.  None when Python's ``%`` must
+    format the rows: a field other than ``%d``, ``%r`` or ``%.2f``
+    (``%%`` included), a column of another dtype, or a NUL in ``row``
+    or ``sep``, which would be taken for padding.
+    """
+    if "\0" in row + sep:
+        return None
+    head, *fields = row.split("%")
+    if len(fields) != len(columns):
+        return None
+    literals, renders = [head], []
+    for field, column in zip(fields, columns):
+        spec = ".2f" if field.startswith(".2f") else field[:1]
+        if spec not in _SLOTS or column.dtype != _SLOTS[spec][0]:
+            return None
+        literals.append(field[len(spec):])
+        renders.append(_SLOTS[spec][1])
+    literals[-1] += sep
+    return [text.encode() for text in literals], renders
+
+
+def _slot_rows(literals, slots) -> np.ndarray:
+    """Rows ``literals[0]``, ``slots[0]``, ``literals[1]``, ... as a uint8 matrix.
+
+    Each slot holds one field's text per row with NULs as padding, so
+    the text of the rows is the matrix without its NULs (:func:`_unpadded`).
+    """
+    widths = [slot.shape[1] for slot in slots]
+    row = b"".join(chain.from_iterable(zip(literals, map(bytes, widths)))) + literals[-1]
+    rows = np.empty((len(slots[0]), len(row)), dtype=np.uint8)
+    rows[:] = np.frombuffer(row, dtype=np.uint8)
+    at = 0
+    for text, slot in zip(literals, slots):
+        at += len(text)
+        rows[:, at : at + slot.shape[1]] = slot
+        at += slot.shape[1]
+    return rows
+
+
+def _unpadded(rows: np.ndarray) -> bytes:
+    """The bytes of a :func:`_slot_rows` matrix, row after row, without their NULs."""
+    return rows.tobytes().translate(None, b"\0")
+
+
+def _row_matrix(row: str, *columns) -> np.ndarray:
+    """Every row of ``row`` filled from ``columns`` as one :func:`_slot_rows` matrix."""
+    literals, renders = _slot_template(row, "", columns)
+    return _slot_rows(literals, [render(c) for render, c in zip(renders, columns)])
+
+
 def _format_rows(row: str, sep: str, *columns):
     """``row`` filled from ``columns`` once per element, joined by ``sep``.
 
-    The values are each column's ``tolist()``, so int64 counts stay
-    exact.  A ``%r`` or ``%.2f`` field of a float64 column takes its
-    text from :mod:`._text` instead, the same bytes Python's ``%`` would
-    give, filled in as ``%s`` of a bytes template.  Each chunk of
-    ``_CHUNK`` rows is one ``%``-format call; the chunks are yielded in
-    order and themselves join with ``sep``.
+    The text is the bytes Python's ``%`` gives.  ``%d`` fields of int64
+    columns and ``%r`` and ``%.2f`` fields of float64 columns are
+    rendered as slots by :mod:`._text`, a block of rows at a time, and
+    each block is a :func:`_slot_rows` matrix whose NULs are dropped in
+    one step; a column passed twice is rendered once.  Other templates
+    and columns are formatted by Python's ``%`` on the columns'
+    ``tolist()``, so counts past int64 stay exact.  Each chunk of
+    ``_CHUNK`` rows is yielded in order, and the chunks themselves join
+    with ``sep``.
     """
-    head, *fields = row.split("%")
-    specs = [".2f" if f.startswith(".2f") else f[:1] for f in fields]
-    kernels = [None] * len(columns)
-    # A bytes template fills these fields as a str one does; a "%%"
-    # leaves more fields than columns.
-    if len(fields) == len(columns) and set(specs) <= {"d", "r", ".2f"}:
-        kernels = [_KERNELS.get(spec) if c.dtype == np.float64 else None
-                   for spec, c in zip(specs, columns)]
-    as_bytes = any(kernels)
-    if as_bytes:
-        row = "%".join([head] + [
-            "s" + f[len(spec):] if k else f for f, spec, k in zip(fields, specs, kernels)
-        ]).encode()
-        sep = sep.encode()
-    for start in range(0, len(columns[0]), _CHUNK):
-        parts = [c[start : start + _CHUNK] for c in columns]
-        values = [(k(p) if k else p).tolist() for k, p in zip(kernels, parts)]
-        chunk = sep.join([row] * len(values[0])) % tuple(chain.from_iterable(zip(*values)))
-        del values  # before a bytes chunk is decoded next to itself
-        yield chunk.decode() if as_bytes else chunk
+    template = _slot_template(row, sep, columns)
+    size = len(columns[0])
+    if template is None:
+        for start in range(0, size, _CHUNK):
+            values = [c[start : start + _CHUNK].tolist() for c in columns]
+            yield sep.join([row] * len(values[0])) % tuple(chain.from_iterable(zip(*values)))
+        return
+    literals, renders = template
+    sources = {}
+    for render, column in zip(renders, columns):
+        sources.setdefault((render, id(column)), (render, column))
+    pick = [list(sources).index((render, id(c))) for render, c in zip(renders, columns)]
+    sep_size = len(sep.encode())
+    for start in range(0, size, _CHUNK):
+        end = min(start + _CHUNK, size)
+        blocks = []
+        for a in range(start, end, _text._BLOCK):
+            slots = [render(c[a : min(a + _text._BLOCK, end)]) for render, c in sources.values()]
+            blocks.append(_unpadded(_slot_rows(literals, [slots[i] for i in pick])))
+        text = b"".join(blocks)
+        # Every row ends with sep, which only joins rows: drop the last.
+        yield text[: len(text) - sep_size].decode()
 
 
 def _checked_rows(xs, zs, ns, domain: Domain, lines=None):

@@ -198,6 +198,18 @@ class TestCsvExports:
         total_p = sum(float(line.split(",")[3]) for line in lines[1:])
         assert total_p == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("far", [9, 2**40, 2**62])
+    def test_cells_csv_rows_ascend_whether_or_not_the_key_packs(self, far):
+        # With x and z spans whose product passes int64 (far = 2**40 and
+        # 2**62), the union is ordered by lexsort instead of a packed key.
+        t = build_table([(1, 1, 2), (2, far, 1), (far, far + 3, 4)], Domain.SEGMENTS)
+        cells = probability_table(
+            Domain.SEGMENTS, {(1, 3): 0.25, (2, 2): 0.25, (far, far + 3): 0.5}
+        )
+        rows = cells_csv(t, {"copula": cells}).splitlines()[1:]
+        want = sorted({(1, 1), (2, far), (far, far + 3), (1, 3), (2, 2)})
+        assert [tuple(map(int, row.split(",")[:2])) for row in rows] == want
+
     @given(st.integers(0, 2**32 - 1), st.integers(1, 7))
     @settings(max_examples=50, deadline=None)
     def test_row_chunks_move_no_byte(self, seed, chunk):

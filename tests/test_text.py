@@ -104,6 +104,82 @@ def test_other_fields_keep_python_formatting(template):
     )
 
 
+INT64 = st.one_of(
+    st.integers(-(2**63), 2**63 - 1),
+    st.sampled_from(
+        [-(2**63), -(2**63) + 1, 2**63 - 1, 0, 1, -1]
+        + [sign * 10**k + d for k in range(19) for sign in (1, -1) for d in (-1, 0, 1)]
+    ),
+)
+
+
+@given(
+    ints=st.lists(INT64, max_size=40),
+    template=st.sampled_from(["%d", "%d,%d,%d", "x=%d;%.2f|%r\t"]),
+    sep=st.sampled_from(["\n", "", ", "]),
+    chunk=CHUNKS,
+    block=st.sampled_from([1, 2, 3, _text._BLOCK]),
+)
+@example(ints=[-(2**63), 2**63 - 1, 0, -1, 10**18, -(10**18)], template="%d,%d,%d",
+         sep="\n", chunk=1 << 16, block=_text._BLOCK)
+@settings(max_examples=300, deadline=None)
+def test_int_slots_match_percent_format(ints, template, sep, chunk, block):
+    # Rows of %d fields, and of %d beside float fields, across the edges
+    # of chunks (_CHUNK) and of the blocks within a chunk (_BLOCK).
+    v = np.array(ints, dtype=np.int64)
+    columns = [np.roll(v, i) if field[0] == "d" else v.view(np.float64)
+               for i, field in enumerate(template.split("%")[1:])]
+    with mock.patch.object(table_module, "_CHUNK", chunk), \
+            mock.patch.object(_text, "_BLOCK", block):
+        assert list(_format_rows(template, sep, *columns)) == list(
+            ref_format_rows(template, sep, *columns)
+        )
+    assert [bytes(row[row != 0]) for row in _text.slots_d(v)] == [b"%d" % i for i in ints]
+
+
+@pytest.mark.parametrize("template", ["%d,%d,%r,%r", '<rect w="%.2f" h="%.2f"/>'])
+def test_a_column_passed_twice_is_rendered_once(template):
+    rng = np.random.default_rng(3)
+    n = 3 * _text._BLOCK + 2
+    column = rng.integers(-(10**6), 10**6, n) if "%d" in template else rng.random(n) * 1e3
+    other = rng.random(n)
+    columns = [column, column, other, other][: template.count("%")]
+    renders = []
+
+    def counted(render):
+        def wrapper(values):
+            renders.append(render)
+            return render(values)
+        return wrapper
+
+    slots = {spec: (dtype, counted(render)) for spec, (dtype, render) in table_module._SLOTS.items()}
+    with mock.patch.object(table_module, "_SLOTS", slots):
+        got = list(_format_rows(template, "\n", *columns))
+    assert got == list(ref_format_rows(template, "\n", *columns))
+    # Four blocks, and per block one render per distinct column.
+    assert len(renders) == 4 * len({id(c) for c in columns})
+
+
+def test_wide_2f_fallback_in_the_middle_of_a_block():
+    # 1e15 and up leave the kernel; their text is wider than the slot.
+    v = np.random.default_rng(5).random(2 * _text._BLOCK) * 100
+    v[[5, _text._BLOCK + 7]] = [1e15, -1.5e300]
+    columns = [v, np.arange(len(v))]
+    assert list(_format_rows("%.2f|%d", "\n", *columns)) == list(
+        ref_format_rows("%.2f|%d", "\n", *columns)
+    )
+    assert _text.format_2f(v).tolist() == [b"%.2f" % x for x in v.tolist()]
+
+
+@pytest.mark.parametrize("row, sep", [("%d\0%r", "\n"), ("%d,%r", "\0"), ("\0%.2f|%d", "")])
+def test_nul_in_template_or_separator_keeps_python_text(row, sep):
+    columns = [np.array([0, -7, 10**12]), np.array([0.5, -0.0, 1e-7])]
+    if row.index("%d") > row.index("%"):
+        columns.reverse()
+    assert table_module._slot_template(row, sep, columns) is None
+    assert list(_format_rows(row, sep, *columns)) == list(ref_format_rows(row, sep, *columns))
+
+
 @given(st.lists(st.integers(0, 2**64 - 1), max_size=200))
 @settings(max_examples=200, deadline=None)
 def test_kernels_match_python_on_bit_patterns(bits):
