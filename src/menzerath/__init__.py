@@ -8,17 +8,55 @@ marginals.  Every model yields a predicted Menzerath curve that is
 compared against the empirical one by residual sum of squares.
 
 Each module's ``__all__`` is its public API, and the package
-republishes those names.
+republishes those names.  It resolves them on first use (PEP 562), so
+``import menzerath`` loads neither numpy nor scipy, and the command
+line (``__main__``) starts before they load.
 """
 
-from .boundaries import *  # noqa: F401,F403
-from .classical import *  # noqa: F401,F403
-from .copula import *  # noqa: F401,F403
-from .errors import *  # noqa: F401,F403
-from .gaussian import *  # noqa: F401,F403
-from .ingest import *  # noqa: F401,F403
-from .report import *  # noqa: F401,F403
-from .svgfig import *  # noqa: F401,F403
-from .table import *  # noqa: F401,F403
+import importlib
 
 __version__ = "0.1.0"
+
+# Each module's ``__all__``; tests/test_package.py checks that they agree.
+_EXPORTS = {
+    "boundaries": ("to_boundaries", "from_boundaries", "cells_from_boundaries",
+                   "pairs_from_boundaries", "boundary_copula_cells"),
+    "classical": ("LinearFit", "HyperbolicFit", "AltmannFit", "fit_linear",
+                  "hyperbolic_from_linear", "altmann_from_loglinear", "fit_altmann_direct",
+                  "eval_model", "rss"),
+    "copula": ("Estimator", "GaussianCopulaModel", "JointProbabilityTable", "phi2",
+               "estimate_rho", "fit_copula", "cell_probabilities", "sample_indices",
+               "sample_copula", "predicted_mal_from_cells", "infeasible_mass"),
+    "errors": ("MenzerathError", "InvalidPair", "EmptyInput", "WrongDomain", "WrongSpace",
+               "LogOfNonpositive", "DegenerateVariance", "NonpositiveY", "MismatchedSupport",
+               "RhoOutOfRange", "UOutOfRange", "ParseError", "EmptyConstituent"),
+    "gaussian": ("BivariateGaussianParams", "Discretize", "fit_bivariate",
+                 "fit_bivariate_pairs", "lattice_density", "predicted_mal",
+                 "sample_synthetic"),
+    "ingest": ("CorpusFormat", "parse_frequency_table", "write_frequency_table",
+               "parse_segmented_corpus"),
+    "report": ("SCHEMA_VERSION", "MODEL_ORDER", "Comparison", "compare", "write_report",
+               "curves_csv", "cells_csv", "write_artifacts"),
+    "svgfig": ("render_svg",),
+    "table": ("Domain", "Axis", "Space", "JointFrequencyTable", "MarginalDistribution",
+              "WeightedMoments", "MalCurve", "build_table", "marginal",
+              "empirical_mal_curve", "weighted_moments"),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_ORIGIN)
+
+
+def __getattr__(name):
+    if name in _ORIGIN:
+        value = getattr(importlib.import_module(f"{__name__}.{_ORIGIN[name]}"), name)
+        globals()[name] = value
+        return value
+    if name in _EXPORTS:
+        # Importing a submodule binds it here, so this runs once per module.
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -1,0 +1,130 @@
+"""The ``python -m menzerath`` entry: one BLAS thread, no interpreter teardown.
+
+The entry must change nothing a user sees: its output, exit code and
+artifacts equal those of ``cli.main`` called in this process.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import menzerath
+from menzerath import cli
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+TABLE = str(DATA / "menzerath_synthetic.csv")
+
+# Runs the package as ``-m`` does, in a fresh interpreter whose atexit
+# marker prints only if the interpreter tears down.
+PROBE = """
+import atexit, runpy, sys
+atexit.register(sys.stdout.write, "teardown\\n")
+try:
+    runpy.run_module("menzerath", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(f"SystemExit {exc.code}", file=sys.stderr)
+    raise
+"""
+
+
+def _entry(args, cwd, probe=PROBE, env=os.environ):
+    # The package's own directory on the path: cwd is not the checkout.
+    path = os.pathsep.join([str(Path(menzerath.__file__).parent.parent),
+                            env.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, "-c", probe, *args], capture_output=True,
+                          text=True, cwd=cwd, env={**env, "PYTHONPATH": path})
+
+
+def _files(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+@pytest.mark.parametrize("args, code", [
+    (("fit", "--input", TABLE, "--boundaries", "--emit", "json,csv,svg", "--out", "out"), 0),
+    (("sample", "--input", TABLE, "--n", "1000", "--seed", "3", "--emit", "csv,svg",
+      "--out", "out"), 0),
+    (("fit", "--input", "missing.csv", "--out", "out"), 1),
+    (("fit", "--input", TABLE, "--boundaries", "--log-copula", "--out", "out"), 2),
+])
+def test_entry_skips_teardown_and_changes_nothing_else(args, code, tmp_path, capsys,
+                                                       monkeypatch):
+    (tmp_path / "entry").mkdir()
+    (tmp_path / "main").mkdir()
+    proc = _entry(args, tmp_path / "entry")
+    monkeypatch.chdir(tmp_path / "main")
+    assert cli.main(list(args)) == code
+    main_out, main_err = capsys.readouterr()
+    assert "teardown" not in proc.stdout
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, main_out, main_err)
+    assert _files(tmp_path / "entry") == _files(tmp_path / "main")
+    if code == 0:
+        assert _files(tmp_path / "entry")
+
+
+def test_usage_error_takes_the_normal_exit_path(tmp_path, capsys):
+    proc = _entry(("fit",), tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fit"])
+    assert exc.value.code == 2
+    assert proc.returncode == 2
+    assert proc.stdout == "teardown\n"
+    assert proc.stderr == capsys.readouterr().err + "SystemExit 2\n"
+
+
+def test_entry_without_stdout(tmp_path):
+    # Python sets sys.stdout to None when it starts with descriptor 1 closed.
+    probe = ("import runpy, sys; sys.stdout = None; "
+             "runpy.run_module('menzerath', run_name='__main__', alter_sys=True)")
+    proc = _entry(("fit", "--input", TABLE, "--out", "out"), tmp_path, probe)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert (tmp_path / "out" / "report.json").is_file()
+
+
+class _Exit(Exception):
+    pass
+
+
+def _fake_exit(code):
+    raise _Exit(code)
+
+
+@pytest.mark.parametrize("preset, threads", [(None, "1"), ("3", "3")])
+def test_entry_asks_for_one_blas_thread_unless_set(preset, threads, monkeypatch):
+    # Imported here: an import that ran the command would end the whole
+    # test run if it happened at collection.
+    from menzerath import __main__ as entry
+
+    # setenv first, so that monkeypatch restores the variable afterwards
+    # whether or not it was set.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset or "")
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    seen = []
+    monkeypatch.setattr(cli, "main", lambda: seen.append(os.environ["OPENBLAS_NUM_THREADS"]) or 7)
+    monkeypatch.setattr(os, "_exit", _fake_exit)
+    with pytest.raises(_Exit) as exc:
+        entry.run()
+    assert exc.value.args == (7,)
+    assert seen == [threads]
+
+
+def test_numpy_loads_after_the_entry_sets_one_thread(tmp_path):
+    # OpenBLAS reads the variable once, when numpy loads it.
+    probe = """
+import os, runpy, sys
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print("numpy sees", os.environ.get("OPENBLAS_NUM_THREADS"), file=sys.stderr)
+            sys.meta_path.remove(self)
+sys.meta_path.insert(0, Watch())
+runpy.run_module("menzerath", run_name="__main__", alter_sys=True)
+"""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = _entry(("fit", "--input", "missing.csv"), tmp_path, probe, env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("numpy sees 1\n")
