@@ -1,13 +1,12 @@
-"""Python's ``%d``, ``repr`` and ``'%.2f'`` of a whole array at once.
+"""Rows of ``%d``, ``repr`` and ``'%.2f'`` fields, a whole block of columns at once.
 
-:func:`slots_d`, :func:`slots_r` and :func:`slots_2f` render a block
-of an int64 or float64 array as a uint8 matrix, one row per element,
-whose bytes without their NULs are ``b"%d" % v``, ``repr(v)`` or
-``b"%.2f" % v``.  :func:`format_repr` and :func:`format_2f` return the
-same texts as a bytes array (``S24``, wider only for a long ``'%.2f'``
-text), whose ``tolist()`` holds them element for element.  Each float
-element is either proved here or formatted by Python's own ``%``; the
-bytes are the same either way.
+:func:`_format_rows` and :func:`_rows_at` give the bytes Python's
+``%`` gives for a row template of those fields.  :func:`slots_d`,
+:func:`slots_r` and :func:`slots_2f` render a block of an int64 or
+float64 array as a uint8 matrix, one row per element, whose bytes
+without their NULs are ``b"%d" % v``, ``repr(v)`` or ``b"%.2f" % v``.
+Each float element is either proved here or formatted by Python's own
+``%`` (:func:`_fallback`); the bytes are the same either way.
 
 Error bounds.  Both texts come from ``N``, the nearest integer to
 ``x * 10**s`` for ``x = |v|``, and the residual ``r = x * 10**s - N``.
@@ -49,8 +48,9 @@ written as ``0.0`` or ``-0.0`` directly.  ``'%.2f'`` leaves ``|v| >=
 far from any tie, whatever Dekker's split gives there.
 
 Text.  Every text is a slot: a row of bytes whose NULs are padding,
-so that a row formatter can place the slots of many fields side by
-side and drop the padding of a whole block in one step.  Digits come
+so that :func:`_slot_rows` can place the slots of a row's fields
+between its literal text and :func:`_unpadded` drop the padding of a
+whole block in one step.  Digits come
 from a table of 4-digit words (:func:`_quads`), in three forms: zero
 padded, with leading zeros as NULs, and the same keeping the units
 digit.  ``%d`` and ``'%.2f'`` are right-aligned slots: the digits of
@@ -62,6 +62,7 @@ layout (sign, digit count, and the decimal point's place or the
 exponent form) is one gather of source columns.
 """
 import functools
+from itertools import chain
 
 import numpy as np
 
@@ -72,8 +73,8 @@ _POWER_MIN, _POWER_MAX = -266, 297
 _MANTISSA = np.uint64((1 << 52) - 1)
 _EXPONENT = np.uint64(0x7FF << 52)
 _E4, _E8 = np.uint64(10**4), np.uint64(10**8)
-# Values per block: the block's temporaries, about 60 arrays of it,
-# stay small next to a chunk of formatted rows.
+# Rows per block: _format_rows yields one block at a time, so the text and
+# temporaries (about 60 arrays of a block) held at once follow it, not the table.
 _BLOCK = 1 << 13
 # Word offsets in _quads: "%04d" % i is word i; LEAD + i has its leading
 # zeros as NULs (LEAD itself is four NULs); UNITS + i keeps the units
@@ -295,27 +296,6 @@ def slots_2f(values) -> np.ndarray:
     return _fallback(*_2f_block(v), "%.2f", v)
 
 
-def _texts(slots, values):
-    v = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    parts = [np.empty(0, dtype="S24")]
-    for start in range(0, len(v), _BLOCK):
-        rows = slots(v[start : start + _BLOCK])
-        # Each row's text moved to its start: a stable sort by "is NUL".
-        rows = np.take_along_axis(rows, np.argsort(rows == 0, axis=1, kind="stable"), axis=1)
-        parts.append(np.ascontiguousarray(rows).view(f"S{rows.shape[1]}").ravel())
-    return np.concatenate(parts)
-
-
-def format_repr(values) -> np.ndarray:
-    """``repr`` of each element of a float64 array, as an ``S24`` array."""
-    return _texts(slots_r, values)
-
-
-def format_2f(values) -> np.ndarray:
-    """``'%.2f' % v`` for each element of a float64 array, as bytes (``S24`` or wider)."""
-    return _texts(slots_2f, values)
-
-
 def _repr_block(v):
     bits = v.view(np.uint64)
     neg = (bits >> np.uint64(63)).astype(np.int16)
@@ -386,3 +366,87 @@ def _2f_block(v):
     whole = n // 100
     body = _right_aligned(whole.view(np.uint64), bits >> np.uint64(63), n - whole * 100 + _CENTS)
     return body, sure
+
+
+# The fields _format_rows renders: the column dtype each needs, and its
+# slot renderer.
+_SLOTS = {
+    "d": (np.int64, slots_d),
+    "r": (np.float64, slots_r),
+    ".2f": (np.float64, slots_2f),
+}
+
+
+def _slot_template(row: str, sep: str, columns):
+    """The literal bytes around ``row``'s fields and each field's renderer.
+
+    The last literal ends with ``sep``.  Raises ``ValueError`` for a
+    field other than ``%d``, ``%r`` or ``%.2f`` (``%%`` included), a
+    column of another dtype, or a NUL in ``row`` or ``sep``, which would
+    be taken for padding.
+    """
+    if "\0" in row + sep:
+        raise ValueError(f"NUL in row {row!r} or separator {sep!r}")
+    head, *fields = row.split("%")
+    if len(fields) != len(columns):
+        raise ValueError(f"row {row!r} has {len(fields)} fields for {len(columns)} columns")
+    literals, renders = [head], []
+    for field, column in zip(fields, columns):
+        spec = ".2f" if field.startswith(".2f") else field[:1]
+        if spec not in _SLOTS or column.dtype != _SLOTS[spec][0]:
+            raise ValueError(f"no slot for %{field[:3]} of a {column.dtype} column in {row!r}")
+        literals.append(field[len(spec):])
+        renders.append(_SLOTS[spec][1])
+    literals[-1] += sep
+    return [text.encode() for text in literals], renders
+
+
+def _slot_rows(literals, slots) -> np.ndarray:
+    """Rows ``literals[0]``, ``slots[0]``, ``literals[1]``, ... as a uint8 matrix.
+
+    Each slot holds one field's text per row with NULs as padding, so
+    the text of the rows is the matrix without its NULs (:func:`_unpadded`).
+    """
+    widths = [slot.shape[1] for slot in slots]
+    row = b"".join(chain.from_iterable(zip(literals, map(bytes, widths)))) + literals[-1]
+    rows = np.empty((len(slots[0]), len(row)), dtype=np.uint8)
+    rows[:] = np.frombuffer(row, dtype=np.uint8)
+    at = 0
+    for text, slot in zip(literals, slots):
+        at += len(text)
+        rows[:, at : at + slot.shape[1]] = slot
+        at += slot.shape[1]
+    return rows
+
+
+def _unpadded(rows: np.ndarray) -> bytes:
+    """The bytes of a :func:`_slot_rows` matrix, row after row, without their NULs."""
+    return rows.tobytes().translate(None, b"\0")
+
+
+def _rows_at(row: str, index, *columns) -> bytes:
+    """``row`` filled from element ``i`` of each column, for each ``i`` in ``index``."""
+    literals, renders = _slot_template(row, "", columns)
+    rows = _slot_rows(literals, [render(c) for render, c in zip(renders, columns)])
+    return _unpadded(rows[index])
+
+
+def _format_rows(row: str, sep: str, *columns):
+    """``row`` filled from ``columns`` once per element, joined by ``sep``.
+
+    The text is the bytes Python's ``%`` gives (see :func:`_slot_template`
+    for the fields).  Each block of ``_BLOCK`` rows is one :func:`_slot_rows`
+    matrix, yielded in order as a ``str``; the blocks join with ``sep``.
+    A column passed twice is rendered once.
+    """
+    literals, renders = _slot_template(row, sep, columns)
+    sources = {}
+    for render, column in zip(renders, columns):
+        sources.setdefault((render, id(column)), (render, column))
+    pick = [list(sources).index((render, id(c))) for render, c in zip(renders, columns)]
+    sep_size = len(sep.encode())
+    for start in range(0, len(columns[0]), _BLOCK):
+        slots = [render(c[start : start + _BLOCK]) for render, c in sources.values()]
+        text = _unpadded(_slot_rows(literals, [slots[i] for i in pick]))
+        # Every row ends with sep, which only joins rows: drop the last.
+        yield text[: len(text) - sep_size].decode()

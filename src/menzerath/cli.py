@@ -17,12 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
+from ._text import _rows_at
 from .boundaries import from_boundaries, pairs_from_boundaries, to_boundaries
 from .copula import Estimator, fit_copula, sample_indices
 from .errors import EmptyConstituent, EmptyInput, InvalidPair, MenzerathError, ParseError
 from .ingest import CorpusFormat, parse_frequency_table, parse_segmented_corpus
 from .report import MODEL_ORDER, compare, write_artifacts
-from .table import Domain, _row_matrix, _unpadded
+from .table import Domain
 
 __all__ = ["main"]
 
@@ -238,10 +239,9 @@ def _cmd_sample(args, table) -> int:
     with open(out_dir / "samples.csv", "wb") as out:
         out.write(header.encode("utf-8"))
         for cells, inverse in _draws(model, args):
-            # A row is a function of its cell: render each distinct cell
-            # of the chunk once, as a NUL-padded row, and gather the rows
-            # without their padding.
-            out.write(_unpadded(_row_matrix("%d,%d\n", cells[:, 0], cells[:, 1])[inverse]))
+            # A row is a function of its cell: each distinct cell of the
+            # chunk is rendered once.
+            out.write(_rows_at("%d,%d\n", inverse, cells[:, 0], cells[:, 1]))
             if comparison is not None:
                 parts.append(cells[inverse])
     if comparison is not None:
@@ -265,7 +265,3 @@ def main(argv=None) -> int:
     except MenzerathError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._text import _format_rows
 from .errors import EmptyConstituent, EmptyInput, ParseError
-from .table import Domain, JointFrequencyTable, _Cells, _checked_rows, _format_rows
+from .table import Domain, JointFrequencyTable, _Cells, _checked_rows
 
 __all__ = [
     "CorpusFormat",

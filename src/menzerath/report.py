@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._text import _format_rows
 from .boundaries import boundary_copula_cells
 from .classical import (
     AltmannFit,
@@ -42,7 +43,6 @@ from .table import (
     JointFrequencyTable,
     MalCurve,
     Space,
-    _format_rows,
     _run_starts,
     empirical_mal_curve,
     weighted_moments,
@@ -226,18 +226,17 @@ def write_report(comparison: Comparison, n: int) -> str:
 def curves_csv(empirical: MalCurve, model_curves: dict[str, MalCurve]) -> str:
     """Empirical and model Menzerath curves on the shared x support."""
     names = [n for n in MODEL_ORDER if n in model_curves]
-    header = ["x", "y_empirical"] + [f"y_{n}" for n in names]
-    lines = [",".join(header)]
-    for i, x in enumerate(empirical.xs):
-        row = [str(int(x)), repr(float(empirical.ys[i]))]
-        for n in names:
-            curve = model_curves[n]
-            j = int(np.searchsorted(curve.xs, x))
-            if j >= len(curve.xs) or curve.xs[j] != x:
-                raise MenzerathError(f"model {n!r} curve missing x={x}")
-            row.append(repr(float(curve.ys[j])))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    xs = empirical.xs
+    found = np.array([np.isin(xs, model_curves[n].xs) for n in names], dtype=bool)
+    if not found.all():
+        # The smallest missing x, and at it the first model in MODEL_ORDER.
+        i, k = divmod(int(np.argmin(found.T)), len(names))
+        raise MenzerathError(f"model {names[k]!r} curve missing x={xs[i]}")
+    columns = [xs, empirical.ys]
+    columns += [model_curves[n].ys[np.searchsorted(model_curves[n].xs, xs)] for n in names]
+    header = ",".join(["x", "y_empirical"] + [f"y_{n}" for n in names])
+    rows = _format_rows("%d,%r" + ",%r" * len(names), "\n", *columns)
+    return "\n".join([header, *rows]) + "\n"
 
 
 def cells_csv(table: JointFrequencyTable, model_cells: dict) -> str:

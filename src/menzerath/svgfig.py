@@ -12,7 +12,8 @@ output, element order is fixed, and no external resource is referenced.
 
 import numpy as np
 
-from .table import Domain, _format_rows
+from ._text import _format_rows
+from .table import Domain
 
 __all__ = ["render_svg"]
 
@@ -33,9 +34,9 @@ _MARGIN = 46
 
 def _f(v: float) -> str:
     # Fixed two-decimal coordinates keep files compact and deterministic.
-    # "%.2f" in a _format_rows template gives the same text: on a float64
-    # column it is a slot of the numpy text kernel, with Python's own
-    # "%.2f" for the values the kernel cannot prove.
+    # "%.2f" in a _text._format_rows template gives the same text: a slot
+    # of the numpy text kernel, with Python's own "%.2f" for the values
+    # the kernel cannot prove.
     return f"{v:.2f}"
 
 

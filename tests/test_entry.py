@@ -128,3 +128,12 @@ runpy.run_module("menzerath", run_name="__main__", alter_sys=True)
     proc = _entry(("fit", "--input", "missing.csv"), tmp_path, probe, env)
     assert proc.returncode == 1
     assert proc.stderr.startswith("numpy sees 1\n")
+
+
+def test_cli_module_is_not_a_second_entry(tmp_path):
+    # `python -m menzerath.cli` defines the command and runs nothing.
+    probe = ("import runpy; "
+             "runpy.run_module('menzerath.cli', run_name='__main__', alter_sys=True)")
+    proc = _entry(("fit", "--input", TABLE, "--out", "out"), tmp_path, probe)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert not (tmp_path / "out").exists()

@@ -35,7 +35,7 @@ from menzerath import (
     write_frequency_table,
     write_report,
 )
-from menzerath import table as table_module
+from menzerath import _text
 
 from util import probability_table, random_table
 
@@ -176,6 +176,25 @@ class TestCsvExports:
                            match=f"^model 'altmann' curve missing x={curve.xs[1]}$"):
             curves_csv(curve, {"altmann": model})
 
+    def test_curves_csv_names_the_smallest_missing_x_then_the_first_model(self):
+        t, _ = sample_report()
+        curve = empirical_mal_curve(t)
+        alt = AltmannFit(3.0, 0.4)
+
+        def without(*i):
+            return eval_model(alt, np.delete(curve.xs, list(i)))
+
+        # hyperbolic comes before altmann in MODEL_ORDER.
+        for curves, name, i in [
+            ({"altmann": without(1), "hyperbolic": without(2)}, "altmann", 1),
+            ({"altmann": without(1), "hyperbolic": without(1)}, "hyperbolic", 1),
+            ({"altmann": without(2), "hyperbolic": without(1, 2)}, "hyperbolic", 1),
+            ({"altmann": without(0, 2), "hyperbolic": without(2)}, "altmann", 0),
+        ]:
+            with pytest.raises(MenzerathError,
+                               match=f"^model '{name}' curve missing x={curve.xs[i]}$"):
+                curves_csv(curve, curves)
+
     def test_curves_csv_writes_only_the_empirical_xs(self):
         t, _ = sample_report()
         curve = empirical_mal_curve(t)
@@ -221,7 +240,7 @@ class TestCsvExports:
                     write_frequency_table(to_boundaries(t)))
 
         want = texts()
-        with mock.patch.object(table_module, "_CHUNK", chunk):
+        with mock.patch.object(_text, "_BLOCK", chunk):
             assert texts() == want
 
     @pytest.mark.parametrize("chunk", [1, 1 << 16])
@@ -229,7 +248,7 @@ class TestCsvExports:
         n = 2**60 + 1  # a float64 column would print it as 2**60
         t = build_table([(1, 2, n), (2, 5, 3)], Domain.SEGMENTS)
         cells = probability_table(Domain.SEGMENTS, {(1, 2): 0.25, (2, 4): 0.75})
-        with mock.patch.object(table_module, "_CHUNK", chunk):
+        with mock.patch.object(_text, "_BLOCK", chunk):
             assert write_frequency_table(t) == f"x,z,count\n1,2,{n}\n2,5,3\n"
             assert cells_csv(t, {"copula": cells}) == (
                 f"x,z,count,p_copula\n1,2,{n},0.25\n2,4,0,0.75\n2,5,3,0.0\n"

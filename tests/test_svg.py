@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from menzerath import compare, render_svg, sample_copula, svgfig, to_boundaries
-from menzerath import table as table_module
+from menzerath import _text, cli, compare, render_svg, report, sample_copula, svgfig, to_boundaries
 
 from util import random_table, ref_curve_paths, ref_joint_panel, scaled
 
@@ -106,25 +105,27 @@ class TestBatchedFormatting:
         with mock.patch.object(svgfig, "_joint_panel", ref_joint_panel), \
                 mock.patch.object(svgfig, "_curve_paths", ref_curve_paths):
             expected = render_svg(comparison, samples)
-        # Chunks of 1-7 rows, so the cells, the scatter and the curve
-        # points all cross a chunk edge.
-        with mock.patch.object(table_module, "_CHUNK", chunk):
+        # Blocks of 1-7 rows, so the cells, the scatter and the curve
+        # points all cross a block edge.
+        with mock.patch.object(_text, "_BLOCK", chunk):
             assert render_svg(comparison, samples) == expected
 
     def test_default_chunk_edge(self, scene):
         comparison, _ = scene
-        samples = sample_copula(comparison.copulas["copula"], table_module._CHUNK + 3, 5)
+        samples = sample_copula(comparison.copulas["copula"], _text._BLOCK + 3, 5)
         with mock.patch.object(svgfig, "_joint_panel", ref_joint_panel):
             expected = render_svg(comparison, samples)
         assert render_svg(comparison, samples) == expected
 
 
 def test_chunk_constant_lives_with_the_formatter():
-    # svgfig holds no copy of _CHUNK, so patching one there cannot
-    # silently leave the formatter's chunks as they are.
-    assert svgfig._format_rows is table_module._format_rows
+    # Only _text holds the block size and the slot table, so patching a
+    # copy elsewhere cannot silently leave the formatter's blocks as they are.
+    assert svgfig._format_rows is _text._format_rows
+    for module in (svgfig, report, cli):
+        assert not {"_BLOCK", "_SLOTS"} & set(vars(module)), module.__name__
     with pytest.raises(AttributeError):
-        with mock.patch.object(svgfig, "_CHUNK", 1):
+        with mock.patch.object(svgfig, "_BLOCK", 1):
             pass
 
 

@@ -1,8 +1,8 @@
 """The float text kernel and the row formatter that uses it.
 
-``_text.format_repr`` and ``_text.format_2f`` must give the bytes of
-Python's ``repr`` and ``'%.2f'``, and ``table._format_rows`` the text of
-a plain ``%``-format of the same rows (``util.ref_format_rows``).
+The slots of ``_text`` must hold the bytes of Python's ``%d``, ``repr``
+and ``'%.2f'``, and ``_text._format_rows`` give the text of a plain
+``%``-format of the same rows (``util.ref_format_rows``).
 """
 
 import math
@@ -17,9 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from menzerath import Domain, _text, build_table, compare
-from menzerath import table as table_module
+from menzerath._text import _format_rows
 from menzerath.report import cells_csv
-from menzerath.table import _format_rows
 
 from util import ref_format_rows
 
@@ -58,7 +57,7 @@ FLOATS = st.one_of(
     st.floats(),
 )
 TEMPLATES = ("%d,%d,%r,%r", '<rect x="%.2f" y="%.2f" n="%d"/>', "%r|%d|%.2f")
-CHUNKS = st.sampled_from([1, 2, 3, 4, 5, 6, 7, 1 << 16])
+BLOCKS = st.sampled_from([1, 2, 3, 4, 5, 6, 7, _text._BLOCK, 1 << 16])
 
 
 def _columns(values, template):
@@ -71,10 +70,18 @@ def _columns(values, template):
     ]
 
 
+def _check_kernels(v):
+    """Each float slot renderer, and ``_format_rows`` of its field, give Python's ``%``."""
+    for spec, slots in (("%r", _text.slots_r), ("%.2f", _text.slots_2f)):
+        want = [spec % x for x in v.tolist()]
+        assert [bytes(row[row != 0]).decode() for row in slots(v)] == want
+        assert "\n".join(_format_rows(spec, "\n", v)) == "\n".join(want)
+
+
 def _with_special_examples(test):
-    for chunk in (1, 7, 1 << 16):
+    for block in (1, 7, 1 << 16):
         for template in TEMPLATES:
-            test = example(values=SPECIAL, template=template, sep="\n", chunk=chunk)(test)
+            test = example(values=SPECIAL, template=template, sep="\n", block=block)(test)
     return test
 
 
@@ -82,26 +89,36 @@ def _with_special_examples(test):
     values=st.lists(FLOATS, max_size=40),
     template=st.sampled_from(TEMPLATES),
     sep=st.sampled_from(["\n", "", " "]),
-    chunk=CHUNKS,
+    block=BLOCKS,
 )
 @_with_special_examples
 @settings(max_examples=300, deadline=None)
-def test_format_rows_matches_percent_format(values, template, sep, chunk):
+def test_format_rows_matches_percent_format(values, template, sep, block):
     columns = _columns(values, template)
-    with mock.patch.object(table_module, "_CHUNK", chunk):
+    with mock.patch.object(_text, "_BLOCK", block):
         assert list(_format_rows(template, sep, *columns)) == list(
             ref_format_rows(template, sep, *columns)
         )
 
 
+# Other fields (%s, %%, %.3f, %e), and a NUL in a template or separator,
+# which would be taken for padding: there is no slot for them.
 @pytest.mark.parametrize(
-    "template", ["%s;%r;%d", "%r%%|%d|%.2f", "%.3f,%r,%d", "%d %.2f %e"]
+    "row, sep",
+    [("%s;%r;%d", "\n"), ("%r%%|%d|%.2f", "\n"), ("%.3f,%r,%d", "\n"), ("%d %.2f %e", "\n"),
+     ("%d\0%r", "\n"), ("%d,%r", "\0"), ("\0%.2f|%d", "")],
 )
-def test_other_fields_keep_python_formatting(template):
-    columns = _columns(SPECIAL, template)
-    assert list(_format_rows(template, "\n", *columns)) == list(
-        ref_format_rows(template, "\n", *columns)
-    )
+def test_templates_without_slots_are_refused(row, sep):
+    columns = _columns(SPECIAL, row)
+    with pytest.raises(ValueError):
+        list(_format_rows(row, sep, *columns))
+
+
+def test_rows_at_gives_each_indexed_row():
+    xs, ys = np.array([3, -1, 10**12]), np.array([0.5, -0.0, 1e300])
+    index = np.array([2, 0, 0, 1, 2])
+    want = "".join("%d,%r\n" % (xs.tolist()[i], ys.tolist()[i]) for i in index.tolist())
+    assert _text._rows_at("%d,%r\n", index, xs, ys) == want.encode()
 
 
 INT64 = st.one_of(
@@ -117,20 +134,17 @@ INT64 = st.one_of(
     ints=st.lists(INT64, max_size=40),
     template=st.sampled_from(["%d", "%d,%d,%d", "x=%d;%.2f|%r\t"]),
     sep=st.sampled_from(["\n", "", ", "]),
-    chunk=CHUNKS,
-    block=st.sampled_from([1, 2, 3, _text._BLOCK]),
+    block=BLOCKS,
 )
 @example(ints=[-(2**63), 2**63 - 1, 0, -1, 10**18, -(10**18)], template="%d,%d,%d",
-         sep="\n", chunk=1 << 16, block=_text._BLOCK)
+         sep="\n", block=_text._BLOCK)
 @settings(max_examples=300, deadline=None)
-def test_int_slots_match_percent_format(ints, template, sep, chunk, block):
-    # Rows of %d fields, and of %d beside float fields, across the edges
-    # of chunks (_CHUNK) and of the blocks within a chunk (_BLOCK).
+def test_int_slots_match_percent_format(ints, template, sep, block):
+    # Rows of %d fields, and of %d beside float fields, across block edges.
     v = np.array(ints, dtype=np.int64)
     columns = [np.roll(v, i) if field[0] == "d" else v.view(np.float64)
                for i, field in enumerate(template.split("%")[1:])]
-    with mock.patch.object(table_module, "_CHUNK", chunk), \
-            mock.patch.object(_text, "_BLOCK", block):
+    with mock.patch.object(_text, "_BLOCK", block):
         assert list(_format_rows(template, sep, *columns)) == list(
             ref_format_rows(template, sep, *columns)
         )
@@ -152,8 +166,8 @@ def test_a_column_passed_twice_is_rendered_once(template):
             return render(values)
         return wrapper
 
-    slots = {spec: (dtype, counted(render)) for spec, (dtype, render) in table_module._SLOTS.items()}
-    with mock.patch.object(table_module, "_SLOTS", slots):
+    slots = {spec: (dtype, counted(render)) for spec, (dtype, render) in _text._SLOTS.items()}
+    with mock.patch.object(_text, "_SLOTS", slots):
         got = list(_format_rows(template, "\n", *columns))
     assert got == list(ref_format_rows(template, "\n", *columns))
     # Four blocks, and per block one render per distinct column.
@@ -168,24 +182,13 @@ def test_wide_2f_fallback_in_the_middle_of_a_block():
     assert list(_format_rows("%.2f|%d", "\n", *columns)) == list(
         ref_format_rows("%.2f|%d", "\n", *columns)
     )
-    assert _text.format_2f(v).tolist() == [b"%.2f" % x for x in v.tolist()]
-
-
-@pytest.mark.parametrize("row, sep", [("%d\0%r", "\n"), ("%d,%r", "\0"), ("\0%.2f|%d", "")])
-def test_nul_in_template_or_separator_keeps_python_text(row, sep):
-    columns = [np.array([0, -7, 10**12]), np.array([0.5, -0.0, 1e-7])]
-    if row.index("%d") > row.index("%"):
-        columns.reverse()
-    assert table_module._slot_template(row, sep, columns) is None
-    assert list(_format_rows(row, sep, *columns)) == list(ref_format_rows(row, sep, *columns))
+    _check_kernels(v)
 
 
 @given(st.lists(st.integers(0, 2**64 - 1), max_size=200))
 @settings(max_examples=200, deadline=None)
 def test_kernels_match_python_on_bit_patterns(bits):
-    v = np.array(bits, dtype=np.uint64).view(np.float64)
-    assert _text.format_repr(v).tolist() == [repr(x).encode() for x in v.tolist()]
-    assert _text.format_2f(v).tolist() == [b"%.2f" % x for x in v.tolist()]
+    _check_kernels(np.array(bits, dtype=np.uint64).view(np.float64))
 
 
 @pytest.mark.parametrize(
@@ -200,22 +203,20 @@ def test_fallback_values_are_flagged_and_byte_equal(block, spec, values):
     v = np.array(values)
     _, sure = block(v)
     assert not sure.any()
-    kernel = {"%.2f": _text.format_2f, "%r": _text.format_repr}[spec]
-    assert kernel(v).tolist() == [(spec % x).encode() for x in values]
+    assert list(_format_rows(spec, "\n", v)) == ["\n".join(spec % x for x in values)]
 
 
 def test_empty_and_single_values():
-    for kernel in (_text.format_repr, _text.format_2f):
-        assert kernel(np.array([])).tolist() == []
-        assert kernel(np.array([0.1])).dtype == np.dtype("S24")
+    for spec in ("%r", "%.2f"):
+        assert list(_format_rows(spec, "\n", np.array([]))) == []
+        assert list(_format_rows(spec, "\n", np.array([0.1]))) == [spec % 0.1]
     assert list(_format_rows("%d,%r", "\n", np.array([], dtype=np.int64), np.array([]))) == []
 
 
 def test_block_edges():
     rng = np.random.default_rng(7)
     v = rng.random(3 * _text._BLOCK + 5) * 10.0 ** rng.integers(-8, 8, 3 * _text._BLOCK + 5)
-    assert _text.format_repr(v).tolist() == [repr(x).encode() for x in v.tolist()]
-    assert _text.format_2f(v).tolist() == [b"%.2f" % x for x in v.tolist()]
+    _check_kernels(v)
 
 
 def test_power_table_error_bound():

@@ -24,7 +24,7 @@ from menzerath import (
     ParseError,
     build_table,
 )
-from menzerath import table as table_module
+from menzerath import _text
 from menzerath.svgfig import _MARGIN, _COLORS, _axis_frame, _f, _scale, _tick_labels
 
 
@@ -292,13 +292,13 @@ def ref_frequency_table(source) -> JointFrequencyTable:
 
 
 def ref_format_rows(row: str, sep: str, *columns):
-    """``table._format_rows`` with every field filled by Python's ``%``.
+    """``_text._format_rows`` with every field filled by Python's ``%``.
 
-    Each chunk of ``table._CHUNK`` rows is one ``%``-format call on the
+    Each block of ``_text._BLOCK`` rows is one ``%``-format call on the
     columns' ``tolist()`` values, the way the package formatted rows
     before it rendered float fields with its own kernel.
     """
-    chunk = table_module._CHUNK
+    chunk = _text._BLOCK
     for start in range(0, len(columns[0]), chunk):
         values = [c[start : start + chunk].tolist() for c in columns]
         flat = tuple(chain.from_iterable(zip(*values)))
