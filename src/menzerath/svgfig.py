@@ -208,16 +208,18 @@ def render_svg(comparison, samples=None) -> str:
     """
     blocks = comparison.blocks
     classical = [b for b in blocks if b["model"] in _CLASSICAL]
-    body = _joint_panel(comparison.table, samples, 0, 0, 960, 400)
-    body += _curve_panel(
-        "mal", "Menzerath curve", comparison, blocks, False, 0, 400, 480, 320
-    )
-    body += _curve_panel(
-        "compare", "classical models", comparison, classical, True, 480, 400, 480, 320
-    )
-    head = (
+    lines = [
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 960 720" '
-        'width="960" height="720" font-family="sans-serif">\n'
+        'width="960" height="720" font-family="sans-serif">'
+    ]
+    lines += _joint_panel(comparison.table, samples, 0, 0, 960, 400)
+    lines += _curve_panel(
+        "mal", "Menzerath curve", comparison, blocks, False, 0, 400, 480, 320
     )
-    return head + "\n".join(body) + "\n</svg>\n"
+    lines += _curve_panel(
+        "compare", "classical models", comparison, classical, True, 480, 400, 480, 320
+    )
+    lines.append("</svg>\n")
+    # One join: the pieces and the figure are the only copies held at once.
+    return "\n".join(lines)

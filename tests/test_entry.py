@@ -1,12 +1,16 @@
-"""The ``python -m menzerath`` entry: one BLAS thread, no interpreter teardown.
+"""The ``python -m menzerath`` entry: one BLAS thread, glibc keeps freed
+memory, no interpreter teardown.
 
 The entry must change nothing a user sees: its output, exit code and
 artifacts equal those of ``cli.main`` called in this process.
 """
 
+import builtins
+import ctypes
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -16,6 +20,19 @@ from menzerath import cli
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 TABLE = str(DATA / "menzerath_synthetic.csv")
+
+
+def _allocator_setting(name):
+    return name == "GLIBC_TUNABLES" or name.startswith("MALLOC_")
+
+
+# The environment without the user's allocator settings, under which the
+# entry applies its own on glibc.
+CLEAN_ENV = {k: v for k, v in os.environ.items() if not _allocator_setting(k)}
+try:
+    GLIBC = os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")
+except (AttributeError, ValueError, OSError):
+    GLIBC = False
 
 # Runs the package as ``-m`` does, in a fresh interpreter whose atexit
 # marker prints only if the interpreter tears down.
@@ -92,8 +109,24 @@ def _fake_exit(code):
     raise _Exit(code)
 
 
+@pytest.fixture
+def mallopt(monkeypatch):
+    """Calls to ``mallopt`` through ``ctypes.CDLL``, on a clean glibc setup."""
+    for name in [k for k in os.environ if _allocator_setting(k)]:
+        monkeypatch.delenv(name)
+    monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+    calls = []
+
+    def call(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=call))
+    return calls
+
+
 @pytest.mark.parametrize("preset, threads", [(None, "1"), ("3", "3")])
-def test_entry_asks_for_one_blas_thread_unless_set(preset, threads, monkeypatch):
+def test_entry_asks_for_one_blas_thread_unless_set(preset, threads, monkeypatch, mallopt):
     # Imported here: an import that ran the command would end the whole
     # test run if it happened at collection.
     from menzerath import __main__ as entry
@@ -110,6 +143,115 @@ def test_entry_asks_for_one_blas_thread_unless_set(preset, threads, monkeypatch)
         entry.run()
     assert exc.value.args == (7,)
     assert seen == [threads]
+
+
+def test_entry_sets_both_malloc_thresholds_before_the_cli_loads(monkeypatch, mallopt):
+    from menzerath import __main__ as entry
+
+    real_import = builtins.__import__
+
+    def watch(name, globals=None, locals=None, fromlist=(), level=0):
+        if (name, level) in {("cli", 1), ("menzerath.cli", 0)}:
+            mallopt.append("import cli")
+        return real_import(name, globals, locals, fromlist, level)
+
+    monkeypatch.setattr(builtins, "__import__", watch)
+    monkeypatch.setattr(cli, "main", lambda: mallopt.append("main") or 0)
+    monkeypatch.setattr(os, "_exit", _fake_exit)
+    with pytest.raises(_Exit):
+        entry.run()
+    assert mallopt == [(-3, 32 << 20), (-1, 1 << 30), "import cli", "main"]
+
+
+def _no_mallopt(name):
+    return types.SimpleNamespace()
+
+
+def _no_library(name):
+    raise OSError("no such library")
+
+
+@pytest.mark.parametrize("env, libc, cdll", [
+    ({"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=0"}, "glibc 2.36", None),
+    ({"MALLOC_MMAP_THRESHOLD_": "65536"}, "glibc 2.36", None),
+    ({"MALLOC_ARENA_MAX": "2"}, "glibc 2.36", None),
+    ({}, None, None),
+    ({}, "musl", None),
+    ({}, ValueError("unrecognized configuration name"), None),
+    ({}, "glibc 2.36", _no_library),
+    ({}, "glibc 2.36", _no_mallopt),
+])
+def test_entry_keeps_the_users_allocator(env, libc, cdll, monkeypatch, mallopt):
+    from menzerath import __main__ as entry
+
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+
+    def confstr(name):
+        assert name == "CS_GNU_LIBC_VERSION"
+        if isinstance(libc, Exception):
+            raise libc
+        return libc
+
+    monkeypatch.setattr(os, "confstr", confstr)
+    if cdll is not None:
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+    monkeypatch.setattr(cli, "main", lambda: 5)
+    monkeypatch.setattr(os, "_exit", _fake_exit)
+    with pytest.raises(_Exit) as exc:
+        entry.run()
+    assert exc.value.args == (5,)
+    assert mallopt == []
+
+
+# Notes each first lookup of ``mallopt`` through ``ctypes.CDLL``.
+WATCH_MALLOPT = """
+import ctypes, sys
+class Watch(ctypes.CDLL):
+    def __getattr__(self, name):
+        if name == "mallopt":
+            print("mallopt", file=sys.stderr)
+        return super().__getattr__(name)
+ctypes.CDLL = Watch
+"""
+
+
+@pytest.mark.parametrize("run, calls", [
+    ("import runpy; runpy.run_module('menzerath', run_name='__main__', alter_sys=True)",
+     "mallopt\n"),
+    ("import menzerath; from menzerath import cli; sys.exit(cli.main(sys.argv[1:]))", ""),
+])
+def test_only_the_entry_sets_malloc_thresholds(run, calls, tmp_path):
+    proc = _entry(("fit", "--input", TABLE, "--out", "out"), tmp_path,
+                  WATCH_MALLOPT + run, CLEAN_ENV)
+    assert (proc.returncode, proc.stderr) == (0, calls if GLIBC else "")
+    assert (tmp_path / "out" / "report.json").is_file()
+
+
+@pytest.mark.skipif(not GLIBC, reason="glibc's allocator only")
+def test_entry_reuses_a_freed_numpy_array_without_page_faults(tmp_path):
+    # The command's own main replaced by one that frees a 1 MiB array and
+    # counts the minor faults of the next one.  glibc's defaults unmap the
+    # first on free (or trim it off the heap top), so the second faults
+    # its 256 pages in again.
+    probe = """
+import resource, runpy, sys, types
+
+def main():
+    import numpy as np
+    a = np.ones(1 << 17)
+    del a
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    a = np.ones(1 << 17)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return 0
+
+sys.modules["menzerath.cli"] = types.SimpleNamespace(main=main)
+runpy.run_module("menzerath", run_name="__main__", alter_sys=True)
+"""
+    proc = _entry((), tmp_path, probe, CLEAN_ENV)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert int(proc.stdout) < 16
 
 
 def test_numpy_loads_after_the_entry_sets_one_thread(tmp_path):

@@ -1,6 +1,7 @@
 """SVG rendering: determinism, well-formedness, panel structure."""
 
 import dataclasses
+import tracemalloc
 import xml.etree.ElementTree as ET
 from unittest import mock
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from menzerath import _text, cli, compare, render_svg, report, sample_copula, svgfig, to_boundaries
+from menzerath import Domain, _text, build_table, cli, compare, render_svg, report, sample_copula, svgfig, to_boundaries
 
 from util import random_table, ref_curve_paths, ref_joint_panel, scaled
 
@@ -117,6 +118,23 @@ class TestBatchedFormatting:
             expected = render_svg(comparison, samples)
         assert render_svg(comparison, samples) == expected
 
+
+def test_figure_is_held_at_most_twice():
+    # 60,000 cells, so the joint panel's rows outweigh the formatter's
+    # per-block arrays: the panel's pieces and the joined figure are the
+    # only copies, with no whole-figure concatenation on top.
+    rng = np.random.default_rng(5)
+    rows = [(x, z, int(n)) for x in range(1, 61)
+            for z, n in zip(range(x, x + 1000), rng.integers(1, 50, 1000))]
+    comparison = compare(build_table(rows, Domain.SEGMENTS), ["hyperbolic"])
+    tracemalloc.start()
+    try:
+        text = render_svg(comparison)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("<rect") > 60_000
+    assert peak <= 2.5 * len(text)
 
 def test_chunk_constant_lives_with_the_formatter():
     # Only _text holds the block size and the slot table, so patching a
