@@ -23,7 +23,7 @@ from .copula import Estimator, fit_copula, sample_indices
 from .errors import EmptyConstituent, EmptyInput, InvalidPair, MenzerathError, ParseError
 from .ingest import CorpusFormat, parse_frequency_table, parse_segmented_corpus
 from .report import MODEL_ORDER, compare, write_artifacts
-from .table import Domain
+from .table import Domain, _cell_index
 
 __all__ = ["main"]
 
@@ -197,11 +197,10 @@ def _draws(model, args):
     draw.
     """
     rng = np.random.default_rng(args.seed)
-    width = len(model.marginal_z.support)
     for start in range(0, args.n, _SAMPLE_CHUNK):
         ix, iz = sample_indices(model, min(_SAMPLE_CHUNK, args.n - start), rng)
-        cells, inverse = np.unique(ix * width + iz, return_inverse=True)
-        pairs = model.support_pairs(cells // width, cells % width)
+        cell_ix, cell_iz, inverse = _cell_index(ix, iz)
+        pairs = model.support_pairs(cell_ix, cell_iz)
         yield (pairs_from_boundaries(pairs) if args.boundaries else pairs), inverse
 
 

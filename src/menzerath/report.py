@@ -39,11 +39,10 @@ from .errors import MenzerathError, MismatchedSupport
 from .gaussian import fit_bivariate, predicted_mal
 from .svgfig import render_svg
 from .table import (
-    MAX_COUNT,
     JointFrequencyTable,
     MalCurve,
     Space,
-    _run_starts,
+    _cell_index,
     empirical_mal_curve,
     weighted_moments,
 )
@@ -248,28 +247,14 @@ def cells_csv(table: JointFrequencyTable, model_cells: dict) -> str:
     names = [n for n in MODEL_ORDER if n in model_cells]
     sources = [table] + [model_cells[n] for n in names]
     values = [table.ns] + [model_cells[n].ps for n in names]
-    xs = np.concatenate([s.xs for s in sources])
-    zs = np.concatenate([s.zs for s in sources])
-    # Each source ascends in (x, z), so a stable sort of the packed key
-    # (x - x_min) * z_span + (z - z_min) merges their runs, in the order
-    # lexsort gives, wherever that key fits in int64.
-    x_min, z_min = int(xs.min()), int(zs.min())
-    z_span = int(zs.max()) - z_min + 1
-    if (int(xs.max()) - x_min + 1) * z_span <= MAX_COUNT:
-        order = np.argsort((xs - x_min) * z_span + (zs - z_min), kind="stable")
-    else:
-        order = np.lexsort((zs, xs))
-    starts = _run_starts(xs[order], zs[order])
-    # Union row of every concatenated cell.
-    first = np.zeros(len(xs), dtype=np.intp)
-    first[starts] = 1
-    row = np.empty_like(first)
-    row[order] = np.cumsum(first) - 1
-    keys = order[starts]
-    columns = [xs[keys], zs[keys]]
+    # The union cells, and the union row of every concatenated cell.
+    union_xs, union_zs, row = _cell_index(
+        np.concatenate([s.xs for s in sources]), np.concatenate([s.zs for s in sources])
+    )
+    columns = [union_xs, union_zs]
     end = 0
     for v in values:
-        column = np.zeros(len(keys), dtype=v.dtype)
+        column = np.zeros(len(union_xs), dtype=v.dtype)
         column[row[end:end + len(v)]] = v
         columns.append(column)
         end += len(v)

@@ -160,19 +160,45 @@ def _exact_total(ns: np.ndarray) -> int:
     return _check_total(_exact_sum(ns))
 
 
-def _ascending(xs: np.ndarray, zs: np.ndarray, strict: bool) -> bool:
-    """Whether the (x, z) rows ascend: strictly, or with equal rows allowed."""
+def _ascending(xs: np.ndarray, zs: np.ndarray) -> bool:
+    """Whether the (x, z) rows ascend strictly."""
     dx, dz = np.diff(xs), np.diff(zs)
-    return not np.any((dx < 0) | ((dx == 0) & ((dz <= 0) if strict else (dz < 0))))
+    return not np.any((dx < 0) | ((dx == 0) & (dz <= 0)))
 
 
-def _run_starts(*keys: np.ndarray) -> np.ndarray:
-    """Start index of every run of equal rows in grouped key columns."""
-    change = np.zeros(len(keys[0]), dtype=bool)
-    change[:1] = True
-    for k in keys:
-        change[1:] |= k[1:] != k[:-1]
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Start index of every run of equal values in a grouped key column."""
+    change = np.ones(len(keys), dtype=bool)
+    change[1:] = keys[1:] != keys[:-1]
     return np.flatnonzero(change)
+
+
+def _cell_index(xs: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct (x, z) of int64 row columns, ascending, and each row's index into them.
+
+    A packed key ``(x - x_min) * z_span + (z - z_min)`` of at most
+    ``4 * rows + 1024`` values (reckoned in Python ints, so it cannot
+    wrap) marks the cells in a lookup array; wider rows take one lexsort.
+    """
+    x_min, z_min = int(xs.min()), int(zs.min())
+    z_span = int(zs.max()) - z_min + 1
+    span = (int(xs.max()) - x_min + 1) * z_span
+    if span <= 4 * len(xs) + 1024:
+        key = (xs - x_min) * z_span + (zs - z_min)
+        present = np.zeros(span, dtype=bool)
+        present[key] = True
+        cells = np.flatnonzero(present)
+        lut = np.empty(span, dtype=np.intp)
+        lut[cells] = np.arange(len(cells))
+        return cells // z_span + x_min, cells % z_span + z_min, lut[key]
+    order = np.lexsort((zs, xs))
+    xs, zs = xs[order], zs[order]
+    change = np.ones(len(xs), dtype=bool)
+    change[1:] = (xs[1:] != xs[:-1]) | (zs[1:] != zs[:-1])
+    index = np.empty(len(xs), dtype=np.intp)
+    index[order] = np.cumsum(change) - 1
+    starts = np.flatnonzero(change)
+    return xs[starts], zs[starts], index
 
 
 def _run_sums(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -241,7 +267,7 @@ class _CellColumns:
     _VALUE: str
 
     def __init__(self, domain: Domain, xs: np.ndarray, zs: np.ndarray, values: np.ndarray):
-        if not _ascending(xs, zs, strict=True):
+        if not _ascending(xs, zs):
             raise ValueError("cells must be strictly ascending in (x, z)")
         self._set(domain=domain, xs=xs, zs=zs, **{self._VALUE: values})
 
@@ -315,15 +341,12 @@ class JointFrequencyTable(_CellColumns):
 def _sum_rows(xs, zs, ns):
     """Distinct (x, z) of int64 row columns, ascending, and their summed counts.
 
-    The counts must total at most ``MAX_COUNT``, so no run sum can wrap.
-    Rows already in ascending order, as every table
-    :func:`~menzerath.ingest.write_frequency_table` writes, are not sorted.
+    The counts must total at most ``MAX_COUNT``, so no int64 sum can wrap.
     """
-    if not _ascending(xs, zs, strict=False):
-        order = np.lexsort((zs, xs))
-        xs, zs, ns = xs[order], zs[order], ns[order]
-    starts = _run_starts(xs, zs)
-    return xs[starts], zs[starts], np.add.reduceat(ns, starts)
+    cell_xs, cell_zs, index = _cell_index(xs, zs)
+    sums = np.zeros(len(cell_xs), dtype=np.int64)
+    np.add.at(sums, index, ns)
+    return cell_xs, cell_zs, sums
 
 
 class _Cells:
@@ -442,14 +465,14 @@ class MarginalDistribution:
         return guide
 
     def quantile_index(self, u: np.ndarray) -> np.ndarray:
-        """Index into ``support`` of :meth:`quantile_many`, elementwise.
+        """Right-continuous generalized inverse of the CDF, as support indices.
 
-        Each ``u`` maps to the index of the first cumulative probability
-        that reaches it, ``searchsorted(cdf, u, side="left")``.  Defined
-        for ``0 < u <= 1``.  The index is read from a guide table whose
-        size follows the support (at most ``max(1025, 32 * len(cdf))``
-        entries): ``u`` in a bin that holds no CDF value reads
-        its index there, and only the rest are searched.
+        Each ``u`` maps to the index of the smallest support value whose
+        cumulative probability reaches it, ``searchsorted(cdf, u,
+        side="left")``.  Defined for ``0 < u <= 1``.  The index is read
+        from a guide table whose size follows the support (at most
+        ``max(1025, 32 * len(cdf))`` entries): ``u`` in a bin that holds
+        no CDF value reads its index there, and only the rest are searched.
         """
         u = np.asarray(u, dtype=float)
         if np.any(~((u > 0.0) & (u <= 1.0))):  # NaN fails both
@@ -460,14 +483,6 @@ class MarginalDistribution:
         if len(open_bins):
             index[open_bins] = np.searchsorted(self.cdf, flat[open_bins], side="left")
         return index.reshape(u.shape)[()]  # a scalar for 0-d u, as searchsorted gives
-
-    def quantile_many(self, u: np.ndarray) -> np.ndarray:
-        """Right-continuous generalized inverse of the CDF, elementwise.
-
-        Each ``u`` maps to the smallest support value whose cumulative
-        probability reaches it.  Defined for ``0 < u <= 1``.
-        """
-        return self.support[self.quantile_index(u)]
 
 
 @dataclass(frozen=True)

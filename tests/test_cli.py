@@ -492,6 +492,45 @@ class TestSampleChunks:
             tmp_path / "whole" / "samples.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("boundaries", [False, True])
+    def test_wide_chunks_take_the_sort_branch(self, boundaries, tmp_path, monkeypatch):
+        from menzerath import (
+            Domain,
+            build_table,
+            cli,
+            fit_copula,
+            pairs_from_boundaries,
+            sample_copula,
+            to_boundaries,
+            write_frequency_table,
+        )
+        from menzerath import table as table_module
+
+        # Every (x, x + e) for x in 1..48 and e in 0..47: 48 distinct x
+        # and 95 distinct z (48 and 48 as boundary counts).  Seven draws
+        # span more support indices than the lookup's 4 * 7 + 1024 keys.
+        rng = np.random.default_rng(5)
+        table = build_table(
+            [(x, x + e, int(rng.integers(1, 6))) for x in range(1, 49) for e in range(48)],
+            Domain.SEGMENTS,
+        )
+        path = tmp_path / "table.csv"
+        path.write_text(write_frequency_table(table), encoding="utf-8")
+        argv = ["sample", "--input", str(path), "--n", "50", "--seed", "4",
+                "--out", str(tmp_path / "out"), *["--boundaries"] * boundaries]
+        monkeypatch.setattr(cli, "_SAMPLE_CHUNK", 7)
+        with mock.patch.object(table_module.np, "lexsort", wraps=np.lexsort) as sort:
+            assert cli.main(argv) == 0
+        # The table's rows take the lookup; only 7-row chunks were sorted.
+        assert sort.call_count > 0
+        assert all(len(call.args[0][0]) <= 7 for call in sort.call_args_list)
+        model = fit_copula(to_boundaries(table) if boundaries else table)
+        expected = sample_copula(model, 50, 4)
+        if boundaries:
+            expected = pairs_from_boundaries(expected)
+        rows = (tmp_path / "out" / "samples.csv").read_text().split("\n")[2:]
+        assert rows == [f"{x},{z}" for x, z in expected.tolist()] + [""]
+
     @given(
         cells=st.lists(st.tuples(_WIDE, _WIDE, st.integers(1, 5)), min_size=2, max_size=12),
         n=st.integers(1, 60),

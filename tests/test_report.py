@@ -219,8 +219,9 @@ class TestCsvExports:
 
     @pytest.mark.parametrize("far", [9, 2**40, 2**62])
     def test_cells_csv_rows_ascend_whether_or_not_the_key_packs(self, far):
-        # With x and z spans whose product passes int64 (far = 2**40 and
-        # 2**62), the union is ordered by lexsort instead of a packed key.
+        # far = 9 keeps the packed (x, z) key range small, so the union is
+        # found through a lookup array; far = 2**40 and 2**62 widen it
+        # past that, and the union is ordered by lexsort.
         t = build_table([(1, 1, 2), (2, far, 1), (far, far + 3, 4)], Domain.SEGMENTS)
         cells = probability_table(
             Domain.SEGMENTS, {(1, 3): 0.25, (2, 2): 0.25, (far, far + 3): 0.5}

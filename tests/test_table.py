@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
@@ -122,15 +122,76 @@ class TestBuildTable:
         assert t.cells == {(1, 4): 1, (2, 5): 5}
 
     def test_ascending_rows_are_not_sorted(self):
+        # Rows whose packed (x, z) key takes few values are grouped through
+        # a lookup array in any order; with a z past 10**6, by one lexsort.
         rows = [(1, 2, 4), (1, 3, 1), (1, 3, 2), (2, 2, 5), (2, 7, 1), (4, 4, 3)]
-        with mock.patch.object(table_module.np, "lexsort", wraps=np.lexsort) as sort:
-            t = build_table(rows, Domain.SEGMENTS)
-        assert sort.call_count == 0
-        shuffled = [rows[i] for i in (3, 1, 5, 0, 4, 2)]
-        with mock.patch.object(table_module.np, "lexsort", wraps=np.lexsort) as sort:
-            assert build_table(shuffled, Domain.SEGMENTS) == t
-        assert sort.call_count == 1
+        wide = [(x, z + 10**6 * (z == 7), n) for x, z, n in rows]
+        built = []
+        for source, sorts in ((rows, 0), (wide, 1)):
+            tables = []
+            for order in ((0, 1, 2, 3, 4, 5), (3, 1, 5, 0, 4, 2)):
+                with mock.patch.object(table_module.np, "lexsort", wraps=np.lexsort) as sort, \
+                        mock.patch.object(table_module.np, "argsort", wraps=np.argsort) as arg:
+                    tables.append(build_table([source[i] for i in order], Domain.SEGMENTS))
+                assert (sort.call_count, arg.call_count) == (sorts, 0)
+            assert tables[0] == tables[1]
+            built.append(tables[0])
+        t, t_wide = built
         assert t.cells == {(1, 2): 4, (1, 3): 3, (2, 2): 5, (2, 7): 1, (4, 4): 3}
+        assert t_wide.cells == {(1, 2): 4, (1, 3): 3, (2, 2): 5, (2, 10**6 + 7): 1, (4, 4): 3}
+
+
+@st.composite
+def cell_rows(draw):
+    """Seeded int64 (xs, zs) rows of one of three families.
+
+    ``narrow``: small ranges from 0 up, as boundary counts have.
+    ``edge``: a packed key range of exactly ``4 * rows + 1024`` values,
+    the widest that the lookup takes, or one value more.  ``far``:
+    values near -2**62, 0 and 2**62, in one cluster or spread across.
+    """
+    rows = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family = draw(st.sampled_from(["narrow", "edge", "far"]))
+    if family == "narrow":
+        lows = (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+        widths = (draw(st.integers(1, 12)), draw(st.integers(1, 40)))
+        xs, zs = (low + rng.integers(0, w, rows) for low, w in zip(lows, widths))
+    elif family == "edge":
+        rows = max(rows, 2)
+        span = 4 * rows + 1024 + draw(st.integers(0, 1))
+        x_span = draw(st.sampled_from([d for d in range(1, 65) if span % d == 0]))
+        spans = (x_span, span // x_span)
+        xs, zs = (rng.integers(0, w, rows) for w in spans)
+        # The first and last rows hold the corners, so the range is exact.
+        xs[0], zs[0] = 0, 0
+        xs[-1], zs[-1] = spans[0] - 1, spans[1] - 1
+    else:
+        centres = st.sampled_from([[2**62], [-2**62], [0, 2**62], [-2**62, 2**62]])
+        xs, zs = (
+            rng.choice(np.array(draw(centres)), rows) + rng.integers(-3, 4, rows)
+            for _ in range(2)
+        )
+    return xs.astype(np.int64), zs.astype(np.int64)
+
+
+class TestCellIndex:
+    @given(cell_rows())
+    @example((np.array([0, 3, 1, 1]), np.array([0, 259, 7, 9])))  # 4 * 260 keys: lookup
+    @example((np.array([0, 2, 1, 1]), np.array([0, 346, 7, 9])))  # 3 * 347 keys: sort
+    @settings(max_examples=300, deadline=None)
+    def test_matches_numpy_row_unique(self, rows):
+        xs, zs = rows
+        span = (int(xs.max()) - int(xs.min()) + 1) * (int(zs.max()) - int(zs.min()) + 1)
+        with mock.patch.object(table_module.np, "lexsort", wraps=np.lexsort) as sort:
+            cell_xs, cell_zs, index = table_module._cell_index(xs, zs)
+        # The lookup runs exactly when the key range fits it.
+        assert sort.call_count == (span > 4 * len(xs) + 1024)
+        cells, want = np.unique(np.column_stack((xs, zs)), axis=0, return_inverse=True)
+        assert cell_xs.tolist() == cells[:, 0].tolist()
+        assert cell_zs.tolist() == cells[:, 1].tolist()
+        assert index.tolist() == want.ravel().tolist()
+        assert np.array_equal(cell_xs[index], xs) and np.array_equal(cell_zs[index], zs)
 
 
 class TestMarginal:
@@ -177,25 +238,25 @@ class TestQuantile:
     def test_step_cases(self):
         m = marginal(from_cells({(1, 2): 1, (2, 4): 1}), Axis.X)
         assert m.cdf.tolist() == [0.5, 1.0]
-        assert m.quantile_many(0.3) == 1
-        assert m.quantile_many(0.5) == 1
-        assert m.quantile_many(0.51) == 2
+        assert m.support[m.quantile_index(0.3)] == 1
+        assert m.support[m.quantile_index(0.5)] == 1
+        assert m.support[m.quantile_index(0.51)] == 2
 
     def test_u_one_gives_last_value(self):
         m = marginal(from_cells({(1, 2): 1, (2, 4): 1, (5, 9): 2}), Axis.X)
-        assert m.quantile_many(1.0) == 5
+        assert m.support[m.quantile_index(1.0)] == 5
 
     def test_u_zero_rejected(self):
         m = marginal(from_cells({(1, 2): 1}), Axis.X)
         with pytest.raises(UOutOfRange):
-            m.quantile_many(0.0)
+            m.support[m.quantile_index(0.0)]
         with pytest.raises(UOutOfRange):
-            m.quantile_many(1.0000001)
+            m.support[m.quantile_index(1.0000001)]
 
     def test_nan_rejected(self):
         m = marginal(from_cells({(1, 2): 1, (2, 4): 1}), Axis.X)
         with pytest.raises(UOutOfRange):
-            m.quantile_many(math.nan)
+            m.support[m.quantile_index(math.nan)]
         with pytest.raises(UOutOfRange):
             m.quantile_index(np.array([0.3, math.nan]))
 
@@ -243,7 +304,7 @@ class TestQuantile:
         expected = next(
             int(v) for v, c in zip(m.support, m.cdf) if c >= u
         )
-        assert m.quantile_many(u) == expected
+        assert m.support[m.quantile_index(u)] == expected
 
 
 class TestMalCurve:
