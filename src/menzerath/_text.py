@@ -221,8 +221,6 @@ def _gather(src, keys, index):
     """
     counts = np.bincount(keys)
     present = np.flatnonzero(counts)
-    if len(present) == 1:
-        return src.take(index(int(present[0])), axis=1)
     order = np.argsort(keys, kind="stable")
     rows = src.view("V32").ravel()[order].view(np.uint8).reshape(-1, 32)
     bounds = np.cumsum(counts[present]).tolist()

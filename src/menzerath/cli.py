@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._text import _rows_at
+from . import _text
 from .boundaries import from_boundaries, pairs_from_boundaries, to_boundaries
 from .copula import Estimator, fit_copula, sample_indices
 from .errors import EmptyConstituent, EmptyInput, InvalidPair, MenzerathError, ParseError
@@ -26,11 +26,6 @@ from .report import MODEL_ORDER, compare, write_artifacts
 from .table import Domain, _cell_index
 
 __all__ = ["main"]
-
-# Rows per sample_indices call.  A chunk's rows are formatted once per
-# distinct cell and gathered, so peak memory follows this constant and
-# the table, not --n (unless the scatter in figure.svg keeps every row).
-_SAMPLE_CHUNK = 1 << 16
 
 # copula-boundaries is selected by --boundaries, not by name.
 ALL_MODELS = tuple(m for m in MODEL_ORDER if m != "copula-boundaries")
@@ -189,16 +184,17 @@ def _copula(args, table, comparison):
 
 
 def _draws(model, args):
-    """``sample_indices(model, args.n, args.seed)`` in chunks of rows.
+    """``sample_indices(model, args.n, args.seed)`` in ``_text._BLOCK``-row chunks.
 
     Each chunk yields its distinct cells as segment (x, z) pairs and
     each row's index into them.  The chunks come from one Generator,
     whose stream they continue, so they concatenate to the one-shot
-    draw.
+    draw.  Peak memory follows the block and the table, not --n (unless
+    the scatter in figure.svg keeps every row).
     """
     rng = np.random.default_rng(args.seed)
-    for start in range(0, args.n, _SAMPLE_CHUNK):
-        ix, iz = sample_indices(model, min(_SAMPLE_CHUNK, args.n - start), rng)
+    for start in range(0, args.n, _text._BLOCK):
+        ix, iz = sample_indices(model, min(_text._BLOCK, args.n - start), rng)
         cell_ix, cell_iz, inverse = _cell_index(ix, iz)
         pairs = model.support_pairs(cell_ix, cell_iz)
         yield (pairs_from_boundaries(pairs) if args.boundaries else pairs), inverse
@@ -240,7 +236,7 @@ def _cmd_sample(args, table) -> int:
         for cells, inverse in _draws(model, args):
             # A row is a function of its cell: each distinct cell of the
             # chunk is rendered once.
-            out.write(_rows_at("%d,%d\n", inverse, cells[:, 0], cells[:, 1]))
+            out.write(_text._rows_at("%d,%d\n", inverse, cells[:, 0], cells[:, 1]))
             if comparison is not None:
                 parts.append(cells[inverse])
     if comparison is not None:

@@ -310,9 +310,6 @@ def _screen(
         | np.bitwise_or.reduceat(flags, starts) & (_OTHER if chars else 0)
     ) != 0
     fast = (starts < ends) & ~slow
-    if not fast.any():  # as in scripts whose lines nearly all hold an other
-        none = np.empty(0, dtype=np.int64)
-        return none, none, np.flatnonzero(slow)
     splits = np.flatnonzero((flags & split) != 0)
     # The block ends with "\n", so every split has a next code point.
     slow[np.searchsorted(ends, splits[(flags[splits + 1] & closed) != 0])] = True

@@ -201,6 +201,12 @@ def _cell_index(xs: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return xs[starts], zs[starts], index
 
 
+def _axis_counts(values: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of a grouped column and each run's count sum, exact in int64."""
+    starts = _run_starts(values)
+    return values[starts], np.add.reduceat(ns, starts)
+
+
 def _run_sums(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct values of grouped ``keys`` and the float sum of each run.
 
@@ -211,7 +217,7 @@ def _run_sums(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndar
     starts = _run_starts(keys)
     lengths = np.diff(np.append(starts, len(keys)))
     sums = np.empty(len(starts))
-    for length in np.unique(lengths).tolist():
+    for length in np.flatnonzero(np.bincount(lengths)).tolist():
         pick = np.flatnonzero(lengths == length)
         block = values[starts[pick, None] + np.arange(length)]
         # Adding 0.0 last equals starting from 0.0: either way only an
@@ -297,9 +303,10 @@ class JointFrequencyTable(_CellColumns):
 
     The table is three read-only int64 columns ``xs``, ``zs`` and
     ``ns``, one entry per distinct cell in strictly ascending (x, z)
-    order with every count >= 1, their exact ``total``, and the
-    ascending distinct values of each axis, ``support_x`` and
-    ``support_z``.  All are computed and checked once, at construction.
+    order with every count >= 1, their exact ``total``, each axis's
+    ascending distinct values, ``support_x`` and ``support_z``, and
+    their marginal counts, ``counts_x`` and ``counts_z``.  All are
+    computed and checked once, at construction.
     ``cells`` is a read-only mapping view of the columns.  The table also
     keeps the :class:`WeightedMoments` of each :class:`Space` once
     :func:`weighted_moments` has computed them.
@@ -309,19 +316,20 @@ class JointFrequencyTable(_CellColumns):
     already in strictly ascending (x, z) order.
     """
 
-    __slots__ = ("ns", "total", "support_x", "support_z", "_moments_by_space")
+    __slots__ = ("ns", "total", "support_x", "support_z", "counts_x", "counts_z",
+                 "_moments_by_space")
     _VALUE = "ns"
 
     def __init__(self, domain: Domain, xs, zs, ns):
         if len(xs) == 0:
             raise EmptyInput("table has no cells")
         super().__init__(domain, *_checked_rows(xs, zs, ns, domain))
-        self._set(
-            total=_exact_total(self.ns),
-            support_x=self.xs[_run_starts(self.xs)],
-            support_z=np.unique(self.zs),
-            _moments_by_space={},
-        )
+        total = _exact_total(self.ns)
+        order = np.argsort(self.zs, kind="stable")
+        sx, cx = _axis_counts(self.xs, self.ns)
+        sz, cz = _axis_counts(self.zs[order], self.ns[order])
+        self._set(total=total, support_x=sx, support_z=sz, counts_x=cx, counts_z=cz,
+                  _moments_by_space={})
 
     def __eq__(self, other):
         if not isinstance(other, JointFrequencyTable):
@@ -428,13 +436,20 @@ class MarginalDistribution:
         for arr in (self.support, self.pmf, self.cdf):
             arr.setflags(write=False)
 
+    def __reduce__(self):
+        # A copy re-runs the constructor's checks and comes back read-only.
+        return type(self), (self.support, self.pmf, self.cdf)
+
     @classmethod
     def from_counts(cls, values, counts) -> "MarginalDistribution":
         values = np.asarray(values, dtype=np.int64)
         counts = np.asarray(counts, dtype=np.int64)
         order = np.argsort(values)
-        values, counts = values[order], counts[order]
-        total = _exact_total(counts)
+        return cls._of_sorted(values[order], counts[order], _exact_total(counts))
+
+    @classmethod
+    def _of_sorted(cls, values, counts, total: int) -> "MarginalDistribution":
+        """From ascending int64 values and their counts, which sum to ``total``."""
         # Python ints divide exactly and round once; float64 would round
         # each count and the total first once the total passes 2**53.
         pmf = (counts.astype(object) / total).astype(float)
@@ -542,6 +557,9 @@ class MalCurve:
         for arr in (self.xs, self.ys, self.ns):
             arr.setflags(write=False)
 
+    def __reduce__(self):
+        return type(self), (self.xs, self.ys, self.ns)
+
     @property
     def points(self) -> list[tuple[int, float, float]]:
         return [
@@ -551,17 +569,10 @@ class MalCurve:
 
 
 def marginal(table: JointFrequencyTable, axis: Axis) -> MarginalDistribution:
-    """Project the joint table onto one axis."""
+    """Project the joint table onto one axis, from the counts it keeps."""
     if axis is Axis.X:
-        values, counts = table.xs, table.ns
-    else:
-        order = np.argsort(table.zs, kind="stable")
-        values, counts = table.zs[order], table.ns[order]
-    starts = _run_starts(values)
-    # Each marginal count is part of the checked total, so int64 is exact.
-    return MarginalDistribution.from_counts(
-        values[starts], np.add.reduceat(counts, starts)
-    )
+        return MarginalDistribution._of_sorted(table.support_x, table.counts_x, table.total)
+    return MarginalDistribution._of_sorted(table.support_z, table.counts_z, table.total)
 
 
 def empirical_mal_curve(table: JointFrequencyTable) -> MalCurve:
@@ -573,14 +584,12 @@ def empirical_mal_curve(table: JointFrequencyTable) -> MalCurve:
     """
     if table.domain is not Domain.SEGMENTS:
         raise WrongDomain("Menzerath curve needs a segment-domain table; convert first")
-    xs, zs, ns = table.support_x, table.zs, table.ns
+    xs, zs, ns, n_sum = table.support_x, table.zs, table.ns, table.counts_x
     # z >= x, so max(z) * total bounds every sum and product below.
     if int(table.support_z[-1]) * table.total >= _EXACT_INT_FLOAT:
         # Python ints: exact at any size, and their division rounds once.
-        xs, zs, ns = xs.astype(object), zs.astype(object), ns.astype(object)
-    starts = _run_starts(table.xs)
-    n_sum = np.add.reduceat(ns, starts)
-    z_sum = np.add.reduceat(zs * ns, starts)
+        xs, zs, ns, n_sum = (a.astype(object) for a in (xs, zs, ns, n_sum))
+    z_sum = np.add.reduceat(zs * ns, _run_starts(table.xs))
     return MalCurve(
         xs=table.support_x,
         ys=np.asarray(z_sum / (xs * n_sum), dtype=float),

@@ -457,6 +457,7 @@ class TestSampleChunks:
         self, boundaries, table_file, tmp_path, monkeypatch
     ):
         from menzerath import (
+            _text,
             cli,
             fit_copula,
             pairs_from_boundaries,
@@ -470,7 +471,7 @@ class TestSampleChunks:
                 "--emit", "csv,svg", *flags]
         assert cli.main([*argv, "--out", str(tmp_path / "whole")]) == 0
         # 50 rows in chunks of 7: seven full chunks and a 1-row remainder.
-        monkeypatch.setattr(cli, "_SAMPLE_CHUNK", 7)
+        monkeypatch.setattr(_text, "_BLOCK", 7)
         out = tmp_path / "chunked"
         assert cli.main([*argv, "--out", str(out)]) == 0
 
@@ -496,6 +497,7 @@ class TestSampleChunks:
     def test_wide_chunks_take_the_sort_branch(self, boundaries, tmp_path, monkeypatch):
         from menzerath import (
             Domain,
+            _text,
             build_table,
             cli,
             fit_copula,
@@ -518,7 +520,7 @@ class TestSampleChunks:
         path.write_text(write_frequency_table(table), encoding="utf-8")
         argv = ["sample", "--input", str(path), "--n", "50", "--seed", "4",
                 "--out", str(tmp_path / "out"), *["--boundaries"] * boundaries]
-        monkeypatch.setattr(cli, "_SAMPLE_CHUNK", 7)
+        monkeypatch.setattr(_text, "_BLOCK", 7)
         with mock.patch.object(table_module.np, "lexsort", wraps=np.lexsort) as sort:
             assert cli.main(argv) == 0
         # The table's rows take the lookup; only 7-row chunks were sorted.
@@ -547,6 +549,7 @@ class TestSampleChunks:
         from menzerath import (
             Domain,
             Estimator,
+            _text,
             build_table,
             cli,
             fit_copula,
@@ -570,7 +573,7 @@ class TestSampleChunks:
             path.write_text(write_frequency_table(table), encoding="utf-8")
             argv = ["sample", "--input", str(path), "--n", str(n), "--seed", str(seed),
                     "--estimator", "normal-scores", "--out", work]
-            with mock.patch.object(cli, "_SAMPLE_CHUNK", chunk):
+            with mock.patch.object(_text, "_BLOCK", chunk):
                 assert cli.main(argv + ["--boundaries"] * boundaries) == 0
             text = (Path(work) / "samples.csv").read_bytes()
         header, columns, rows = text.split(b"\n", 2)

@@ -141,7 +141,7 @@ def test_chunk_constant_lives_with_the_formatter():
     # copy elsewhere cannot silently leave the formatter's blocks as they are.
     assert svgfig._format_rows is _text._format_rows
     for module in (svgfig, report, cli):
-        assert not {"_BLOCK", "_SLOTS"} & set(vars(module)), module.__name__
+        assert not {"_BLOCK", "_SLOTS", "_SAMPLE_CHUNK"} & set(vars(module)), module.__name__
     with pytest.raises(AttributeError):
         with mock.patch.object(svgfig, "_BLOCK", 1):
             pass

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+from copy import deepcopy
 from unittest import mock
 
 import numpy as np
@@ -50,7 +51,7 @@ def from_cells(cells, domain=Domain.SEGMENTS):
 
 @pytest.mark.parametrize("table, columns", [
     (build_table([(1, 2, 3), (1, 4, 1), (3, 3, 2)], Domain.SEGMENTS),
-     ("xs", "zs", "ns", "support_x", "support_z")),
+     ("xs", "zs", "ns", "support_x", "support_z", "counts_x", "counts_z")),
     (probability_table(Domain.BOUNDARIES, {(0, 1): 0.25, (0, 3): 0.5, (2, 0): 0.25}),
      ("xs", "zs", "ps")),
 ], ids=["counts", "probabilities"])
@@ -69,6 +70,31 @@ def test_cell_columns_pickle_and_stay_read_only(table, columns):
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = column[-1]
         assert len(t.cells) == len(t.xs) == 3
+
+
+def test_marginals_and_curves_copy_read_only():
+    # Pickled and deep copies go through the constructor: its checks run
+    # again and every array comes back frozen.
+    t = build_table([(1, 2, 3), (1, 4, 1), (3, 3, 2)], Domain.SEGMENTS)
+    m = marginal(t, Axis.Z)
+    model = compare(t, ["copula"]).copulas["copula"]
+    values = [(m, ("support", "pmf", "cdf")), (empirical_mal_curve(t), ("xs", "ys", "ns"))]
+    for value, arrays in values:
+        for copy in (pickle.loads(pickle.dumps(value)), deepcopy(value)):
+            assert type(copy) is type(value)
+            for name in arrays:
+                column = getattr(copy, name)
+                assert column.tolist() == getattr(value, name).tolist()
+                assert column.dtype == getattr(value, name).dtype
+                with pytest.raises(ValueError, match="read-only"):
+                    column[0] = column[-1]
+            with pytest.raises(AttributeError):
+                setattr(copy, arrays[0], None)
+    copy = pickle.loads(pickle.dumps(m))
+    u = np.array([0.1, 0.5, 0.9, 1.0])
+    assert copy.quantile_index(u).tolist() == m.quantile_index(u).tolist() == [0, 0, 2, 2]
+    for marg in (deepcopy(model).marginal_x, deepcopy(model).marginal_z):
+        assert not any(a.flags.writeable for a in (marg.support, marg.pmf, marg.cdf))
 
 
 class TestBuildTable:
@@ -124,16 +150,28 @@ class TestBuildTable:
     def test_ascending_rows_are_not_sorted(self):
         # Rows whose packed (x, z) key takes few values are grouped through
         # a lookup array in any order; with a z past 10**6, by one lexsort.
+        # The table's z axis pass is the one stable argsort of a build.
         rows = [(1, 2, 4), (1, 3, 1), (1, 3, 2), (2, 2, 5), (2, 7, 1), (4, 4, 3)]
         wide = [(x, z + 10**6 * (z == 7), n) for x, z, n in rows]
         built = []
         for source, sorts in ((rows, 0), (wide, 1)):
             tables = []
             for order in ((0, 1, 2, 3, 4, 5), (3, 1, 5, 0, 4, 2)):
+                in_sums = []
+
+                def sum_rows(*columns, real=table_module._sum_rows):
+                    before = arg.call_count
+                    summed = real(*columns)
+                    in_sums.append(arg.call_count - before)
+                    return summed
+
                 with mock.patch.object(table_module.np, "lexsort", wraps=np.lexsort) as sort, \
-                        mock.patch.object(table_module.np, "argsort", wraps=np.argsort) as arg:
+                        mock.patch.object(table_module.np, "argsort", wraps=np.argsort) as arg, \
+                        mock.patch.object(table_module, "_sum_rows", side_effect=sum_rows):
                     tables.append(build_table([source[i] for i in order], Domain.SEGMENTS))
-                assert (sort.call_count, arg.call_count) == (sorts, 0)
+                assert sort.call_count == sorts
+                assert arg.call_args_list == [mock.call(mock.ANY, kind="stable")]
+                assert in_sums == [0]
             assert tables[0] == tables[1]
             built.append(tables[0])
         t, t_wide = built
@@ -206,6 +244,19 @@ class TestMarginal:
         m = marginal(t, Axis.Z)
         assert m.support.tolist() == [2, 4]
         np.testing.assert_allclose(m.pmf, [0.25, 0.75])
+
+    def test_reads_the_counts_the_table_keeps(self):
+        # The table finds each axis's support and counts once; a marginal
+        # sorts and reduces nothing.
+        t = from_cells({(1, 5): 2, (1, 2): 1, (2, 4): 3, (3, 5): 4})
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as sort, \
+                mock.patch.object(np, "unique", wraps=np.unique) as unique, \
+                mock.patch.object(np, "add", wraps=np.add) as add:
+            mx, mz = marginal(t, Axis.X), marginal(t, Axis.Z)
+        assert (sort.call_count, unique.call_count, add.reduceat.call_count) == (0, 0, 0)
+        assert mx.support.tolist() == [1, 2, 3] and mz.support.tolist() == [2, 4, 5]
+        assert mx.pmf.tolist() == [0.3, 0.3, 0.4] and mz.pmf.tolist() == [0.1, 0.3, 0.6]
+        assert (t.counts_x.tolist(), t.counts_z.tolist()) == ([3, 3, 4], [1, 3, 6])
 
     def test_single_cell(self):
         m = marginal(from_cells({(2, 6): 10}), Axis.X)
