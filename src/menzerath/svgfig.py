@@ -105,16 +105,13 @@ def _joint_panel(table, samples, ox, oy, width, height):
     side = min(cell_w, cell_h)
     # Definitionally impossible region (z < x) in the segment domain.
     if table.domain is Domain.SEGMENTS:
-        for x in range(max(lo_x, lo_z + 1), hi_x + 1):
-            top = min(x - 1, hi_z)
-            if top < lo_z:
-                continue
-            out.append(
-                f'<rect x="{_f(sx(x - 0.5))}" y="{_f(sz(top + 0.5))}" '
-                f'width="{_f(cell_w)}" '
-                f'height="{_f(sz(lo_z - 0.5) - sz(top + 0.5))}" '
-                'fill="#dddddd"/>'
-            )
+        # One rect per x past lo_z, so every column has top >= lo_z.
+        x = np.arange(max(lo_x, lo_z + 1), hi_x + 1)
+        top = np.minimum(x - 1, hi_z)
+        out.extend(_format_rows(
+            f'<rect x="%.2f" y="%.2f" width="{_f(cell_w)}" height="%.2f" fill="#dddddd"/>',
+            "\n", sx(x - 0.5), sz(top + 0.5), sz(lo_z - 0.5) - sz(top + 0.5),
+        ))
     counts, inverse = np.unique(ns, return_inverse=True)
     n_max = int(counts[-1])
     # Python's int division and pow, once per distinct count, so no

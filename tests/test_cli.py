@@ -325,6 +325,28 @@ class TestFit:
         assert result.returncode == 2
         assert result.stderr == "fit error: model 'copula' puts no mass on x = 69\n"
 
+    @pytest.mark.parametrize(
+        "flags", [[], ["--boundaries"], ["--estimator", "normal-scores"]]
+    )
+    def test_rho_next_to_one_is_clamped(self, flags, tmp_path):
+        # Every estimator puts rho within 1e-15 of 1 here.  Unclamped, one
+        # phi2 double difference fell 1e-9 below 0, and the clipped grid
+        # failed its sum check with a ValueError no handler named.
+        path = tmp_path / "t.csv"
+        path.write_text(
+            "x,z,count\n8706560,37040459,10924788\n7,12145,1738087240749641256\n"
+            "37,37,6\n921621098,271924340164,1280175535187855079\n",
+            encoding="utf-8",
+        )
+        result = run("fit", "--input", str(path), *flags, "--out", str(tmp_path / "o"))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        lines = result.stderr.splitlines()
+        assert "clamped to 0.999999999" in lines[0]
+        assert [line for line in lines if line.startswith("fit error:")] == [
+            "fit error: model 'copula' puts no mass on x = 37"
+        ]
+
     def test_count_past_int64_names_its_line(self, tmp_path):
         path = tmp_path / "big.csv"
         path.write_text("1,2,99999999999999999999\n", encoding="utf-8")
@@ -612,3 +634,37 @@ class TestDeterminism:
             "--out", str(tmp_path / "out"), "--emit", "json",
         )
         assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.filterwarnings("ignore:.*clamped:UserWarning")
+def test_seeded_extreme_tables_exit_cleanly(tmp_path):
+    # Tables of 1-5 rows with log-uniform x up to 2**31, z - x up to 2**38
+    # and counts up to 2**61, through every command in-process: each run
+    # ends in a named exit code, never in an uncaught exception.
+    from menzerath import cli
+
+    rng = np.random.default_rng(2026)
+
+    def draw(bits):
+        # A bit length up to ``bits``, then a value of at most that length.
+        return int(rng.integers(0, 1 << int(rng.integers(0, bits + 1)), endpoint=True))
+
+    path = tmp_path / "t.csv"
+    codes = set()
+    for _ in range(60):
+        cells = []
+        for _ in range(int(rng.integers(1, 6))):
+            x = max(1, draw(31))
+            cells.append((x, x + draw(38), max(1, draw(61))))
+        path.write_text("x,z,count\n" + "".join("%d,%d,%d\n" % cell for cell in cells))
+        runs = [["fit"], ["fit", "--boundaries"], ["fit", "--estimator", "normal-scores"],
+                ["sample"]]
+        xs = [x for x, _, _ in cells]
+        if max(xs) - min(xs) <= 10**6:
+            runs.append(["fit", "--emit", "svg"])
+        for command, *flags in runs:
+            argv = [command, "--input", str(path), *flags, "--out", str(tmp_path / "o")]
+            code = cli.main(argv)
+            assert code in (0, 1, 2), (cells, argv)
+            codes.add(code)
+    assert 0 in codes

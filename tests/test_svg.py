@@ -118,6 +118,17 @@ class TestBatchedFormatting:
             expected = render_svg(comparison, samples)
         assert render_svg(comparison, samples) == expected
 
+    def test_gray_region_over_a_wide_x_range(self):
+        # Four cells over x up to 2 * 10^5: one gray z < x rect per x from
+        # lo_z + 1 to hi_x, across many blocks, equal to the per-x formula.
+        rows = [(1, 3, 5), (7, 40, 3), (150_000, 180_000, 2), (200_000, 200_001, 9)]
+        comparison = compare(build_table(rows, Domain.SEGMENTS), ["hyperbolic"])
+        with mock.patch.object(svgfig, "_joint_panel", ref_joint_panel):
+            expected = render_svg(comparison)
+        text = render_svg(comparison)
+        assert text.count('fill="#dddddd"') == 200_000 - 3
+        assert text == expected
+
 
 def test_figure_is_held_at_most_twice():
     # 60,000 cells, so the joint panel's rows outweigh the formatter's
