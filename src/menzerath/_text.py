@@ -351,16 +351,9 @@ def _2f_block(v):
     bits = v.view(np.uint64)
     x = np.abs(v)
     searched = x < 1e15
-    x = np.where(searched, x, 0.0)
-    # 100 is exact, so x * 100 = p + e with no error at all.
-    p = x * 100.0
-    x_hi, x_lo = _split(x)
-    e = (x_hi * 100.0 - p) + x_lo * 100.0
-    n0 = np.rint(p)
-    t = (p - n0) + e
-    k = np.rint(t)
-    sure = searched & (np.abs(t - k) < 0.5 - _TOL)
-    n = n0.astype(np.int64) + k.astype(np.int64)
+    # 10**2 is exact, so its lo is 0 and r has only the one rounding.
+    n, r, _ = _nearest(np.where(searched, x, 0.0), 2)
+    sure = searched & (np.abs(r) < 0.5 - _TOL)
     whole = n // 100
     body = _right_aligned(whole.view(np.uint64), bits >> np.uint64(63), n - whole * 100 + _CENTS)
     return body, sure

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 option, input or parse errors, 2 fit errors
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -252,11 +253,15 @@ def main(argv=None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 1
     command = _cmd_fit if args.command == "fit" else _cmd_sample
-    try:
-        return command(args, _load_table(args))
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MenzerathError as exc:
-        print(f"fit error: {exc}", file=sys.stderr)
-        return 2
+    error = ""
+    # Each warning is one "warning:" line, whatever file raised it.  The
+    # filters in force are kept, so an "error" filter still raises.
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code = command(args, _load_table(args))
+        except _INPUT_ERRORS as exc:
+            code, error = 1, f"error: {exc}\n"
+        except MenzerathError as exc:
+            code, error = 2, f"fit error: {exc}\n"
+    sys.stderr.write("".join(f"warning: {w.message}\n" for w in caught) + error)
+    return code

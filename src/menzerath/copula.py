@@ -9,6 +9,9 @@ Cell probabilities are exact rectangle probabilities of the bivariate
 normal CDF (:func:`phi2`), so model evaluation never depends on
 sampling noise; seeded sampling exists separately as the presentation
 path for scatter overlays.
+
+The standard bivariate normal that :mod:`menzerath.gaussian` shares is
+here too: :func:`phi2`, the rectangle masses and the seeded draw.
 """
 
 import enum
@@ -19,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri, owens_t
 
-from ._normals import correlate_pairs, standard_normal_pairs
-from .errors import RhoOutOfRange, WrongDomain
+from .errors import DegenerateVariance, RhoOutOfRange, WrongDomain
 from .table import (
     Axis,
     Domain,
@@ -76,9 +78,9 @@ def phi2(h, k, rho):
     |rho| <= 0.97 the absolute error observed against adaptive
     quadrature is below 1e-14, far inside the 1e-7 documented tolerance.
     Nearer |rho| = 1 the T-function argument ``(k / h - rho) / s``, with
-    ``s = sqrt(1 - rho**2)``, cancels where h and k are close, and its
-    error grows like eps / s: at ``RHO_CLAMP`` one such point read
-    3.9e-13 against 40-digit arithmetic, and no bound is claimed there.
+    ``s = sqrt(1 - rho**2)``, cancels where k is close to ``rho * h``,
+    and its error grows like eps / s: at ``+-RHO_CLAMP`` it stays within
+    1e-12 of a 1-D quadrature broken at the integrand's step (tested).
     :func:`fit_copula` never returns |rho| between ``RHO_CLAMP`` and 1.
     Accepts scalars or broadcastable arrays; ``h`` and ``k`` may be
     ``+-inf`` (exact limits) and ``rho`` may be ``+-1`` (degenerate
@@ -156,6 +158,22 @@ def phi2(h, k, rho):
     return out.reshape(h_in.shape)
 
 
+def _correlated_normals(n: int, seed: int | np.random.Generator, rho: float):
+    """n standard normal pairs ``(z1, rho * z1 + sqrt(1 - rho**2) * z2)``.
+
+    Each deviate is the normal quantile of ``(j + 0.5) * 2**-53`` for a
+    53-bit j from numpy's PCG64 ``default_rng(seed)``: the same bytes on
+    every platform.  For j >= 2**52, ``j + 0.5`` rounds to even, so
+    j = 2**53 - 1 gives +inf.  Over 2**53 PCG64 spends one word per
+    element and carries no bits between calls, so draws from one
+    ``Generator`` passed as ``seed`` concatenate to the one-shot draw,
+    bit for bit: ``menzerath sample`` writes its chunks on that.
+    """
+    j = np.random.default_rng(seed).integers(0, 2**53, size=(int(n), 2), dtype=np.int64)
+    z = ndtri((j + 0.5) * 2.0**-53)
+    return z[:, 0], rho * z[:, 0] + math.sqrt(1.0 - rho * rho) * z[:, 1]
+
+
 @dataclass(frozen=True)
 class GaussianCopulaModel:
     """Copula correlation plus the two empirical marginals it couples."""
@@ -203,19 +221,28 @@ class JointProbabilityTable(_CellColumns):
             raise ValueError(f"cell probabilities sum to {total}, not 1")
 
 
-def _normal_scores(m: MarginalDistribution, values: np.ndarray) -> np.ndarray:
-    # Mid-probability score of each support value: the normal quantile
-    # of (F(v-) + F(v)) / 2, always strictly inside (0, 1).
+def _normal_scores(table: JointFrequencyTable, axis: Axis) -> np.ndarray:
+    # Mid-probability score of each cell's value on the axis: the normal
+    # quantile of (F(v-) + F(v)) / 2.  Where the CDF has already reached
+    # 1 below v, that mid-point is 1 and the score infinite.
+    m = marginal(table, axis)
     edges = m.cdf_edges()
     scores = ndtri((edges[:-1] + edges[1:]) / 2.0)
-    return scores[np.searchsorted(m.support, values)]
+    infinite = np.flatnonzero(np.isinf(scores))
+    if len(infinite):
+        v = axis.value
+        raise DegenerateVariance(
+            f"normal scores undefined: the CDF of {v} does not step at "
+            f"{v} = {m.support[infinite[0]]}, whose share of the total rounds to 0"
+        )
+    return scores[np.searchsorted(m.support, table.xs if axis is Axis.X else table.zs)]
 
 
 def estimate_rho(table: JointFrequencyTable, estimator: Estimator) -> float:
     """Correlation coefficient for the copula, by the chosen estimator."""
     if estimator is Estimator.NORMAL_SCORES:
-        a = _normal_scores(marginal(table, Axis.X), table.xs)
-        b = _normal_scores(marginal(table, Axis.Z), table.zs)
+        a = _normal_scores(table, Axis.X)
+        b = _normal_scores(table, Axis.Z)
         return _moments(a, b, table.ns.astype(float)).correlation()
     space = Space.RAW if estimator is Estimator.PEARSON_RAW else Space.LOG
     return weighted_moments(table, space).correlation()
@@ -289,12 +316,11 @@ def sample_indices(
     Per draw: a correlated standard-normal pair is mapped to uniforms
     through the normal CDF, then to the index of each marginal's
     quantile in its support.  Deterministic given the seed (see
-    :mod:`menzerath._normals` for the generator contract).  ``seed`` may
-    also be a ``numpy.random.Generator``, whose stream continues, so
+    :func:`_correlated_normals` for the generator contract).  ``seed``
+    may also be a ``numpy.random.Generator``, whose stream continues, so
     successive calls on one Generator concatenate to a single draw.
     """
-    z = standard_normal_pairs(n, seed)
-    z1, z2 = correlate_pairs(z, model.rho)
+    z1, z2 = _correlated_normals(n, seed, model.rho)
     return (
         model.marginal_x.quantile_index(ndtr(z1)),
         model.marginal_z.quantile_index(ndtr(z2)),

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._normals import correlate_pairs, standard_normal_pairs
-from .copula import _rectangle_masses
+from .copula import _correlated_normals, _rectangle_masses
 from .errors import DegenerateVariance, LogOfNonpositive, RhoOutOfRange
 from .table import (
     JointFrequencyTable,
@@ -185,8 +184,7 @@ def sample_synthetic(
     """
     if abs(params.rho) >= 1.0:
         raise RhoOutOfRange("sampling needs |rho| < 1")
-    z = standard_normal_pairs(n, seed)
-    u1, u2 = correlate_pairs(z, params.rho)
+    u1, u2 = _correlated_normals(n, seed, params.rho)
     xs = params.mean_x + params.sd_x * u1
     zs = params.mean_z + params.sd_z * u2
     if params.space is Space.LOG:

@@ -347,6 +347,44 @@ class TestFit:
             "fit error: model 'copula' puts no mass on x = 37"
         ]
 
+    @pytest.mark.parametrize("rows, x", [
+        ("5,10450370229,17474833139152268\n7558,380180,2\n", 7558),
+        ("7036,7038,1\n1,165576481286,3851306714202381\n"
+         "306,2133,9280204595685788\n", 7036),
+    ], ids=["2-row", "3-row"])
+    def test_infinite_normal_score_is_named(self, rows, x, tmp_path):
+        # The last x's count does not move the float CDF, so its
+        # mid-probability is 1 and its normal score infinite.
+        path = tmp_path / "t.csv"
+        path.write_text(rows, encoding="utf-8")
+        result = run(
+            "fit", "--input", str(path), "--estimator", "normal-scores",
+            "--out", str(tmp_path / "o"),
+        )
+        # One line: no numpy RuntimeWarning and no traceback around it.
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            "fit error: normal scores undefined: the CDF of x does not step at "
+            f"x = {x}, whose share of the total rounds to 0"
+        ]
+
+    @pytest.mark.parametrize("command", ["fit", "sample"])
+    def test_warnings_are_one_line_each(self, command, tmp_path):
+        # The rho clamp's warning, without the file and line it came from.
+        path = tmp_path / "t.csv"
+        path.write_text(
+            "x,z,count\n8706560,37040459,10924788\n7,12145,1738087240749641256\n"
+            "37,37,6\n921621098,271924340164,1280175535187855079\n",
+            encoding="utf-8",
+        )
+        result = run(command, "--input", str(path), "--out", str(tmp_path / "o"))
+        warned = [line for line in result.stderr.splitlines() if "warning" in line.lower()]
+        assert warned == [
+            "warning: |rho| = 0.9999999999999994 clamped to 0.999999999 (collinear table)"
+        ]
+        assert ".py:" not in result.stderr
+        assert "UserWarning" not in result.stderr
+
     def test_count_past_int64_names_its_line(self, tmp_path):
         path = tmp_path / "big.csv"
         path.write_text("1,2,99999999999999999999\n", encoding="utf-8")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import ndtr, ndtri
 
 from menzerath import (
     Axis,
@@ -29,7 +30,7 @@ from menzerath import (
     sample_copula,
     sample_indices,
 )
-from menzerath.copula import RHO_CLAMP
+from menzerath.copula import RHO_CLAMP, _correlated_normals
 
 from util import (
     probability_table,
@@ -54,6 +55,26 @@ def bvn_quadrature(h, k, rho):
 
     value, _ = integrate.dblquad(density, -9, h, -9, k, epsabs=1e-10)
     return value
+
+
+def bvn_line_quadrature(h, k, rho):
+    """P(X <= h, Y <= k) as the 1-D quadrature of phi(x) Phi((k - rho x) / s).
+
+    The integrand steps over a width s = sqrt(1 - rho**2) at x = k / rho,
+    so the range is broken there and at s, 5 s and 50 s to either side.
+    """
+    s = math.sqrt((1.0 - rho) * (1.0 + rho))
+
+    def f(x):
+        return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) * ndtr((k - rho * x) / s)
+
+    x0 = k / rho
+    cuts = sorted(c for c in (x0 + m * s for m in (-50, -5, -1, 0, 1, 5, 50)) if c < h)
+    edges = [-math.inf, *cuts, h]
+    return math.fsum(
+        integrate.quad(f, a, b, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+        for a, b in zip(edges, edges[1:])
+    )
 
 
 def tiny_model(rho, counts_x=(1, 1), counts_z=(1, 1)):
@@ -156,6 +177,17 @@ class TestPhi2:
             assert phi2(h, k, rho) == pytest.approx(
                 bvn_quadrature(h, k, rho), abs=1e-9
             )
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_error_at_the_clamp(self, sign):
+        # At rho = +-RHO_CLAMP the T-function argument cancels where
+        # k is close to rho * h; the docstring's bound holds there.
+        rng = np.random.default_rng(27)
+        rho = sign * RHO_CLAMP
+        for _ in range(200):
+            h = float(rng.uniform(-4.0, 4.0))
+            k = sign * h + float(rng.uniform(-1e-4, 1e-4))
+            assert abs(phi2(h, k, rho) - bvn_line_quadrature(h, k, rho)) <= 1e-12
 
 
 _EDGE_RHOS = [-1.0, 0.0, 1.0, RHO_CLAMP, -RHO_CLAMP]
@@ -352,6 +384,16 @@ class TestSampleCopula:
         chunks = [sample_copula(model, k, rng) for k in sizes]
         one_shot = sample_copula(model, sum(sizes), seed)
         assert np.concatenate(chunks).tobytes() == one_shot.tobytes()
+
+    def test_draw_maps_integers_to_mid_point_uniforms(self):
+        # The integers j = 0 and 1 of a pair give the uniforms 2**-54 and
+        # 1.5 * 2**-53, the mid-points of their 2**-53 steps, in that order.
+        class Fixed(np.random.Generator):
+            def integers(self, low, high=None, size=None, dtype=np.int64, endpoint=False):
+                return np.array([[0, 1]], dtype=dtype)
+
+        z1, z2 = _correlated_normals(1, Fixed(np.random.PCG64(0)), 0.0)
+        assert (z1[0], z2[0]) == (ndtri(2.0**-54), ndtri(1.5 * 2.0**-53))
 
     @pytest.mark.parametrize("domain", [Domain.SEGMENTS, Domain.BOUNDARIES])
     def test_values_are_the_supports_at_the_drawn_indices(self, domain):
