@@ -25,8 +25,8 @@ _EXPORTS = {
                   "hyperbolic_from_linear", "altmann_from_loglinear", "fit_altmann_direct",
                   "eval_model", "rss"),
     "copula": ("Estimator", "GaussianCopulaModel", "JointProbabilityTable", "phi2",
-               "estimate_rho", "fit_copula", "cell_probabilities", "sample_indices",
-               "sample_copula", "predicted_mal_from_cells", "infeasible_mass"),
+               "estimate_rho", "fit_copula", "cell_probabilities", "sample_copula",
+               "predicted_mal_from_cells", "infeasible_mass"),
     "errors": ("MenzerathError", "InvalidPair", "EmptyInput", "WrongDomain", "WrongSpace",
                "LogOfNonpositive", "DegenerateVariance", "NonpositiveY", "MismatchedSupport",
                "RhoOutOfRange", "UOutOfRange", "ParseError", "EmptyConstituent"),

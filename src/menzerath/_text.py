@@ -1,10 +1,10 @@
 """Rows of ``%d``, ``repr`` and ``'%.2f'`` fields, a whole block of columns at once.
 
-:func:`_format_rows` and :func:`_rows_at` give the bytes Python's
-``%`` gives for a row template of those fields.  :func:`slots_d`,
-:func:`slots_r` and :func:`slots_2f` render a block of an int64 or
-float64 array as a uint8 matrix, one row per element, whose bytes
-without their NULs are ``b"%d" % v``, ``repr(v)`` or ``b"%.2f" % v``.
+:func:`_format_rows` gives the bytes Python's ``%`` gives for a row
+template of those fields.  :func:`slots_d`, :func:`slots_r` and
+:func:`slots_2f` render a block of an int64 or float64 array as a uint8
+matrix, one row per element, whose bytes without their NULs are
+``b"%d" % v``, ``repr(v)`` or ``b"%.2f" % v``.
 Each float element is either proved here or formatted by Python's own
 ``%`` (:func:`_fallback`); the bytes are the same either way.
 
@@ -413,13 +413,6 @@ def _slot_rows(literals, slots) -> np.ndarray:
 def _unpadded(rows: np.ndarray) -> bytes:
     """The bytes of a :func:`_slot_rows` matrix, row after row, without their NULs."""
     return rows.tobytes().translate(None, b"\0")
-
-
-def _rows_at(row: str, index, *columns) -> bytes:
-    """``row`` filled from element ``i`` of each column, for each ``i`` in ``index``."""
-    literals, renders = _slot_template(row, "", columns)
-    rows = _slot_rows(literals, [render(c) for render, c in zip(renders, columns)])
-    return _unpadded(rows[index])
 
 
 def _format_rows(row: str, sep: str, *columns):

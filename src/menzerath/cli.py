@@ -20,11 +20,11 @@ import numpy as np
 
 from . import _text
 from .boundaries import from_boundaries, pairs_from_boundaries, to_boundaries
-from .copula import Estimator, fit_copula, sample_indices
+from .copula import Estimator, fit_copula, sample_copula
 from .errors import EmptyConstituent, EmptyInput, InvalidPair, MenzerathError, ParseError
 from .ingest import CorpusFormat, parse_frequency_table, parse_segmented_corpus
 from .report import MODEL_ORDER, compare, write_artifacts
-from .table import Domain, _cell_index
+from .table import Domain
 
 __all__ = ["main"]
 
@@ -184,21 +184,18 @@ def _copula(args, table, comparison):
     return fit_copula(fit_table, args.estimator)
 
 
-def _draws(model, args):
-    """``sample_indices(model, args.n, args.seed)`` in ``_text._BLOCK``-row chunks.
+def _draws(model, n: int, seed: int):
+    """``sample_copula(model, n, seed)`` in ``_text._BLOCK``-row chunks of segment pairs.
 
-    Each chunk yields its distinct cells as segment (x, z) pairs and
-    each row's index into them.  The chunks come from one Generator,
-    whose stream they continue, so they concatenate to the one-shot
-    draw.  Peak memory follows the block and the table, not --n (unless
-    the scatter in figure.svg keeps every row).
+    The chunks come from one Generator, whose stream they continue, so
+    they concatenate to the one-shot draw.  A boundary-domain model's
+    pairs are mapped back to segments.  Peak memory follows the block
+    and the table, not n (unless the scatter in figure.svg keeps every row).
     """
-    rng = np.random.default_rng(args.seed)
-    for start in range(0, args.n, _text._BLOCK):
-        ix, iz = sample_indices(model, min(_text._BLOCK, args.n - start), rng)
-        cell_ix, cell_iz, inverse = _cell_index(ix, iz)
-        pairs = model.support_pairs(cell_ix, cell_iz)
-        yield (pairs_from_boundaries(pairs) if args.boundaries else pairs), inverse
+    rng = np.random.default_rng(seed)
+    for start in range(0, n, _text._BLOCK):
+        pairs = sample_copula(model, min(_text._BLOCK, n - start), rng)
+        yield pairs_from_boundaries(pairs) if model.domain is Domain.BOUNDARIES else pairs
 
 
 def _cmd_fit(args, table) -> int:
@@ -207,11 +204,10 @@ def _cmd_fit(args, table) -> int:
     if "svg" in args.emit:
         # The scatter mirrors `sample`.
         try:
-            model = _copula(args, table, comparison)
-            parts = [cells[inverse] for cells, inverse in _draws(model, args)]
+            parts = list(_draws(_copula(args, table, comparison), args.n, args.seed))
         except MenzerathError as exc:
             # The report stands without the scatter; say why it is missing.
-            print(f"warning: figure.svg has no sample scatter: {exc}", file=sys.stderr)
+            warnings.warn(f"figure.svg has no sample scatter: {exc}")
             parts = []
         samples = np.concatenate(parts) if parts else None
     write_artifacts(args.out, comparison, args.emit, args.n, samples)
@@ -234,12 +230,11 @@ def _cmd_sample(args, table) -> int:
     parts = []
     with open(out_dir / "samples.csv", "wb") as out:
         out.write(header.encode("utf-8"))
-        for cells, inverse in _draws(model, args):
-            # A row is a function of its cell: each distinct cell of the
-            # chunk is rendered once.
-            out.write(_text._rows_at("%d,%d\n", inverse, cells[:, 0], cells[:, 1]))
+        for pairs in _draws(model, args.n, args.seed):
+            for text in _text._format_rows("%d,%d\n", "", pairs[:, 0], pairs[:, 1]):
+                out.write(text.encode("utf-8"))
             if comparison is not None:
-                parts.append(cells[inverse])
+                parts.append(pairs)
     if comparison is not None:
         write_artifacts(out_dir, comparison, {"svg"}, args.n, np.concatenate(parts))
     print(f"wrote {out_dir / 'samples.csv'} ({args.n} pairs, seed {args.seed})")

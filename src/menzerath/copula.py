@@ -45,7 +45,6 @@ __all__ = [
     "estimate_rho",
     "fit_copula",
     "cell_probabilities",
-    "sample_indices",
     "sample_copula",
     "predicted_mal_from_cells",
     "infeasible_mass",
@@ -188,11 +187,6 @@ class GaussianCopulaModel:
         if not abs(self.rho) < 1.0:
             raise RhoOutOfRange(f"copula needs |rho| < 1, got {self.rho}")
 
-    def support_pairs(self, ix: np.ndarray, iz: np.ndarray) -> np.ndarray:
-        """(n, 2) int64 array of the support values at indices ``ix``, ``iz``."""
-        pairs = np.column_stack((self.marginal_x.support[ix], self.marginal_z.support[iz]))
-        return pairs.astype(np.int64, copy=False)
-
 
 class JointProbabilityTable(_CellColumns):
     """Model-side joint distribution: probability per (x, z) cell.
@@ -308,34 +302,25 @@ def cell_probabilities(model: GaussianCopulaModel) -> JointProbabilityTable:
     )
 
 
-def sample_indices(
+def sample_copula(
     model: GaussianCopulaModel, n: int, seed: int | np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n cells from the copula model as support indices ``(ix, iz)``.
+) -> np.ndarray:
+    """Draw n pairs from the copula model as an (n, 2) int64 array.
 
     Per draw: a correlated standard-normal pair is mapped to uniforms
-    through the normal CDF, then to the index of each marginal's
-    quantile in its support.  Deterministic given the seed (see
+    through the normal CDF, then to each marginal's quantile of its
+    uniform.  Deterministic given the seed (see
     :func:`_correlated_normals` for the generator contract).  ``seed``
     may also be a ``numpy.random.Generator``, whose stream continues, so
     successive calls on one Generator concatenate to a single draw.
     """
     z1, z2 = _correlated_normals(n, seed, model.rho)
-    return (
-        model.marginal_x.quantile_index(ndtr(z1)),
-        model.marginal_z.quantile_index(ndtr(z2)),
-    )
-
-
-def sample_copula(
-    model: GaussianCopulaModel, n: int, seed: int | np.random.Generator
-) -> np.ndarray:
-    """Draw n pairs from the copula model as an (n, 2) integer array.
-
-    The support values of :func:`sample_indices` on the same ``seed``:
-    each marginal's quantile of its uniform.
-    """
-    return model.support_pairs(*sample_indices(model, n, seed))
+    mx, mz = model.marginal_x, model.marginal_z
+    pairs = np.column_stack((
+        mx.support[mx.quantile_index(ndtr(z1))],
+        mz.support[mz.quantile_index(ndtr(z2))],
+    ))
+    return pairs.astype(np.int64, copy=False)
 
 
 def predicted_mal_from_cells(cells: JointProbabilityTable) -> MalCurve:

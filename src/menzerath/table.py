@@ -86,12 +86,16 @@ def _check_pair(x: int, z: int, domain: Domain) -> None:
             raise InvalidPair(f"boundary counts must be >= 0, got ({x}, {z})")
 
 
-def _as_count(value) -> int:
+def _as_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer, float)):
-        raise InvalidPair(f"count must be an integer, got {value!r}")
+        raise InvalidPair(f"{name} must be an integer, got {value!r}")
     if value != int(value):
-        raise InvalidPair(f"fractional counts are rejected, got {value!r}")
-    n = int(value)
+        raise InvalidPair(f"fractional {name}s are rejected, got {value!r}")
+    return int(value)
+
+
+def _as_count(value) -> int:
+    n = _as_int(value, "count")
     if n < 1:
         raise InvalidPair(f"count must be >= 1, got {value!r}")
     if n > MAX_COUNT:
@@ -273,9 +277,15 @@ class _CellColumns:
     _VALUE: str
 
     def __init__(self, domain: Domain, xs: np.ndarray, zs: np.ndarray, values: np.ndarray):
+        self._check_lengths(xs, zs, values)
         if not _ascending(xs, zs):
             raise ValueError("cells must be strictly ascending in (x, z)")
         self._set(domain=domain, xs=xs, zs=zs, **{self._VALUE: values})
+
+    def _check_lengths(self, xs, zs, values) -> None:
+        if not len(xs) == len(zs) == len(values):
+            raise ValueError(f"cell columns of unequal length: {len(xs)} xs, {len(zs)} zs, "
+                             f"{len(values)} {self._VALUE}")
 
     def _set(self, **fields) -> None:
         for name, value in fields.items():
@@ -321,6 +331,7 @@ class JointFrequencyTable(_CellColumns):
     _VALUE = "ns"
 
     def __init__(self, domain: Domain, xs, zs, ns):
+        self._check_lengths(xs, zs, ns)
         if len(xs) == 0:
             raise EmptyInput("table has no cells")
         super().__init__(domain, *_checked_rows(xs, zs, ns, domain))
@@ -425,6 +436,9 @@ class MarginalDistribution:
     cdf: np.ndarray
 
     def __post_init__(self):
+        sizes = (len(self.support), len(self.pmf), len(self.cdf))
+        if not 0 < sizes[0] == sizes[1] == sizes[2]:
+            raise ValueError(f"support, pmf and cdf need one length >= 1, got {sizes}")
         if np.any(np.diff(self.support) <= 0):
             raise InvalidPair("support must be strictly ascending")
         if np.any(self.pmf <= 0):
@@ -442,8 +456,13 @@ class MarginalDistribution:
 
     @classmethod
     def from_counts(cls, values, counts) -> "MarginalDistribution":
-        values = np.asarray(values, dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
+        """From integer values and their counts (each >= 1), in any order."""
+        values = np.array([_as_int(v, "value") for v in values], dtype=np.int64)
+        counts = np.array([_as_count(n) for n in counts], dtype=np.int64)
+        if len(values) != len(counts):
+            raise ValueError(f"{len(values)} values for {len(counts)} counts")
+        if not len(values):
+            raise EmptyInput("a marginal needs at least one value")
         order = np.argsort(values)
         return cls._of_sorted(values[order], counts[order], _exact_total(counts))
 

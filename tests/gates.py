@@ -168,9 +168,12 @@ def test_ingest_memory_follows_the_block(kind, tiles, tmp_path):
     assert_flat_peak(runs)
 
 
-def test_sample_memory_follows_the_block(tmp_path):
-    # samples.csv is drawn and written in _text._BLOCK-row chunks.
-    assert_flat_peak({n: ["sample", "--input", str(BUNDLED), "--n", str(n), "--emit", "csv",
+@pytest.mark.parametrize("source", [BUNDLED, "fit-table-120k"], ids=["bundled", "wide-120k"])
+def test_sample_memory_follows_the_block(source, work, tmp_path):
+    # samples.csv is drawn and written in _text._BLOCK-row chunks, on a
+    # 6 x 20 support and on the 80 x 1579 support of the 120k table.
+    path = source if isinstance(source, Path) else workload(source, work)
+    assert_flat_peak({n: ["sample", "--input", str(path), "--n", str(n), "--emit", "csv",
                           "--out", str(tmp_path / f"out-{n}")] for n in (100_000, 1_000_000)})
 
 

@@ -554,7 +554,7 @@ class TestSampleChunks:
         ).read_bytes()
 
     @pytest.mark.parametrize("boundaries", [False, True])
-    def test_wide_chunks_take_the_sort_branch(self, boundaries, tmp_path, monkeypatch):
+    def test_wide_support_rows_match_one_shot(self, boundaries, tmp_path, monkeypatch):
         from menzerath import (
             Domain,
             _text,
@@ -566,11 +566,10 @@ class TestSampleChunks:
             to_boundaries,
             write_frequency_table,
         )
-        from menzerath import table as table_module
 
         # Every (x, x + e) for x in 1..48 and e in 0..47: 48 distinct x
-        # and 95 distinct z (48 and 48 as boundary counts).  Seven draws
-        # span more support indices than the lookup's 4 * 7 + 1024 keys.
+        # and 95 distinct z (48 and 48 as boundary counts), drawn in
+        # 7-row chunks.
         rng = np.random.default_rng(5)
         table = build_table(
             [(x, x + e, int(rng.integers(1, 6))) for x in range(1, 49) for e in range(48)],
@@ -581,11 +580,7 @@ class TestSampleChunks:
         argv = ["sample", "--input", str(path), "--n", "50", "--seed", "4",
                 "--out", str(tmp_path / "out"), *["--boundaries"] * boundaries]
         monkeypatch.setattr(_text, "_BLOCK", 7)
-        with mock.patch.object(table_module.np, "lexsort", wraps=np.lexsort) as sort:
-            assert cli.main(argv) == 0
-        # The table's rows take the lookup; only 7-row chunks were sorted.
-        assert sort.call_count > 0
-        assert all(len(call.args[0][0]) <= 7 for call in sort.call_args_list)
+        assert cli.main(argv) == 0
         model = fit_copula(to_boundaries(table) if boundaries else table)
         expected = sample_copula(model, 50, 4)
         if boundaries:

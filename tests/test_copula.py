@@ -28,7 +28,6 @@ from menzerath import (
     phi2,
     predicted_mal_from_cells,
     sample_copula,
-    sample_indices,
 )
 from menzerath.copula import RHO_CLAMP, _correlated_normals
 
@@ -398,8 +397,11 @@ class TestSampleCopula:
     @pytest.mark.parametrize("domain", [Domain.SEGMENTS, Domain.BOUNDARIES])
     def test_values_are_the_supports_at_the_drawn_indices(self, domain):
         model = random_model(np.random.default_rng(8), domain)
-        ix, iz = sample_indices(model, 500, 11)
+        # The plain CDF search of each uniform, not the guide table.
+        z1, z2 = _correlated_normals(500, 11, model.rho)
         mx, mz = model.marginal_x, model.marginal_z
+        ix = np.searchsorted(mx.cdf, ndtr(z1), side="left")
+        iz = np.searchsorted(mz.cdf, ndtr(z2), side="left")
         assert 0 <= ix.min() and ix.max() < len(mx.support)
         assert 0 <= iz.min() and iz.max() < len(mz.support)
         expected = [[int(mx.support[i]), int(mz.support[j])] for i, j in zip(ix, iz)]

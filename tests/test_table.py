@@ -18,6 +18,8 @@ from menzerath import (
     Domain,
     EmptyInput,
     InvalidPair,
+    JointFrequencyTable,
+    JointProbabilityTable,
     LogOfNonpositive,
     MarginalDistribution,
     Space,
@@ -230,6 +232,51 @@ class TestCellIndex:
         assert cell_zs.tolist() == cells[:, 1].tolist()
         assert index.tolist() == want.ravel().tolist()
         assert np.array_equal(cell_xs[index], xs) and np.array_equal(cell_zs[index], zs)
+
+
+class TestConstructorsCheckTheirColumns:
+    """Each public constructor refuses columns it would truncate or misalign."""
+
+    @pytest.mark.parametrize("values, counts, error, message", [
+        ([1.5, 2.5], [1, 1], InvalidPair, "fractional values"),
+        ([True, 2], [1, 1], InvalidPair, "value must be an integer"),
+        ([1, 2], [1.5, 1], InvalidPair, "fractional counts"),
+        ([1, 2], [True, 1], InvalidPair, "count must be an integer"),
+        ([1, 2], [0, 1], InvalidPair, "count must be >= 1"),
+        ([], [], EmptyInput, "at least one value"),
+        ([1, 2, 3], [1, 1], ValueError, "3 values for 2 counts"),
+        ([1, 2], [1, 1, 1], ValueError, "2 values for 3 counts"),
+    ])
+    def test_marginal_from_counts(self, values, counts, error, message):
+        with pytest.raises(error, match=message):
+            MarginalDistribution.from_counts(values, counts)
+
+    @pytest.mark.parametrize("support, pmf, cdf", [
+        ([1, 2, 3], [0.5, 0.5], [0.5, 1.0]),
+        ([1, 2], [0.5, 0.5], [1.0]),
+        ([], [], []),
+    ])
+    def test_marginal(self, support, pmf, cdf):
+        with pytest.raises(ValueError, match="one length >= 1"):
+            MarginalDistribution(np.array(support, dtype=np.int64), np.array(pmf), np.array(cdf))
+
+    @pytest.mark.parametrize("xs, zs, ps", [
+        ([1, 2, 3], [1, 2, 3], [0.5, 0.5]),
+        ([1, 2], [1, 2, 3], [0.5, 0.5]),
+        ([1, 2, 3], [1, 2], [0.25, 0.25, 0.5]),
+    ])
+    def test_joint_probability_table(self, xs, zs, ps):
+        with pytest.raises(ValueError, match="unequal length"):
+            JointProbabilityTable(Domain.SEGMENTS, xs, zs, ps)
+
+    @pytest.mark.parametrize("xs, zs, ns", [
+        ([1, 2], [1, 2, 3], [1, 1]),
+        ([1, 2, 3], [1, 2], [1, 1, 1]),
+        ([1, 2], [1, 2], [1, 1, 1]),
+    ])
+    def test_joint_frequency_table(self, xs, zs, ns):
+        with pytest.raises(ValueError, match="unequal length"):
+            JointFrequencyTable(Domain.SEGMENTS, xs, zs, ns)
 
 
 class TestMarginal:

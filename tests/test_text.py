@@ -114,13 +114,6 @@ def test_templates_without_slots_are_refused(row, sep):
         list(_format_rows(row, sep, *columns))
 
 
-def test_rows_at_gives_each_indexed_row():
-    xs, ys = np.array([3, -1, 10**12]), np.array([0.5, -0.0, 1e300])
-    index = np.array([2, 0, 0, 1, 2])
-    want = "".join("%d,%r\n" % (xs.tolist()[i], ys.tolist()[i]) for i in index.tolist())
-    assert _text._rows_at("%d,%r\n", index, xs, ys) == want.encode()
-
-
 INT64 = st.one_of(
     st.integers(-(2**63), 2**63 - 1),
     st.sampled_from(
