@@ -101,60 +101,49 @@ def phi2(h, k, rho):
     -----
     Each entry is claimed by the first case that applies, in a fixed
     order: an infinite limit, ``rho`` of +-1 or 0, ``h = k = 0``,
-    ``h = 0``, ``k = 0``, then the general T-function sum.  Each case is
-    computed only on the entries it claims, so a case that claims none
-    costs nothing.
+    ``h = 0``, ``k = 0``, then the general T-function sum.  The sum is
+    taken over the broadcast arguments unless every ``rho`` is 0 or +-1;
+    each other case is computed on the arguments it reads, only when it
+    claims an entry, and laid over the sum in reverse order, so on a
+    grid of limits at one ``rho`` the two ``owens_t`` calls are the only
+    work per entry.
     """
-    h_in, k_in, r_in = np.broadcast_arrays(
-        np.asarray(h, dtype=float), np.asarray(k, dtype=float), np.asarray(rho, dtype=float)
-    )
-    if np.any(np.abs(r_in) > 1.0) or np.any(np.isnan(r_in)):
+    h, k, rho = (np.asarray(a, dtype=float) for a in (h, k, rho))
+    if np.any(np.abs(rho) > 1.0) or np.any(np.isnan(rho)):
         raise RhoOutOfRange("phi2 requires |rho| <= 1")
-    scalar = h_in.ndim == 0
-    hv = np.atleast_1d(h_in).ravel()
-    kv = np.atleast_1d(k_in).ravel()
-    rv = np.atleast_1d(r_in).ravel()
-    out = np.empty(hv.shape)
-    done = np.zeros(hv.shape, dtype=bool)
-
-    def claim(mask, branch):
-        # The branch sees only the entries it claims.
-        take = mask & ~done
-        if np.any(take):
-            out[take] = branch(hv[take], kv[take], rv[take])
-            done[take] = True
-
-    def root(r):
-        # sqrt(1 - r^2), as (1 - r)(1 + r) for precision near |r| = 1.
-        return np.sqrt((1.0 - r) * (1.0 + r))
-
-    def general(h, k, r):
-        s = root(r)
-        beta = np.where(h * k < 0.0, 0.5, 0.0)
-        return (
-            0.5 * (ndtr(h) + ndtr(k))
-            - owens_t(h, (k / h - r) / s)
-            - owens_t(k, (h / k - r) / s)
-            - beta
-        )
-
-    claim(np.isneginf(hv) | np.isneginf(kv), lambda h, k, r: 0.0)
-    claim(np.isposinf(hv), lambda h, k, r: ndtr(k))
-    claim(np.isposinf(kv), lambda h, k, r: ndtr(h))
-    claim(rv == 1.0, lambda h, k, r: ndtr(np.minimum(h, k)))
-    claim(rv == -1.0, lambda h, k, r: np.maximum(ndtr(h) + ndtr(k) - 1.0, 0.0))
-    claim(rv == 0.0, lambda h, k, r: ndtr(h) * ndtr(k))
-    # From here on |rho| < 1, so root(r) > 0, and h, k are finite or NaN.
-    zero_h, zero_k = hv == 0.0, kv == 0.0
-    claim(zero_h & zero_k, lambda h, k, r: 0.25 + np.arcsin(r) / (2.0 * math.pi))
-    claim(zero_h, lambda h, k, r: 0.5 * ndtr(k) - owens_t(k, -r / root(r)))
-    claim(zero_k, lambda h, k, r: 0.5 * ndtr(h) - owens_t(h, -r / root(r)))
-    claim(~done, general)
-
+    nh, nk = ndtr(h), ndtr(k)
+    zero_h, zero_k = h == 0.0, k == 0.0
+    # Where the T-function forms apply; elsewhere a rho case claims.
+    bent = (rho != 0.0) & (np.abs(rho) != 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # sqrt(1 - rho^2), as (1 - rho)(1 + rho) for precision near |rho| = 1.
+        s = np.sqrt((1.0 - rho) * (1.0 + rho))
+        if np.any(bent):
+            out = (
+                0.5 * (nh + nk)
+                - owens_t(h, (k / h - rho) / s)
+                - owens_t(k, (h / k - rho) / s)
+                - np.where(h * k < 0.0, 0.5, 0.0)
+            )
+        else:
+            out = np.zeros(np.broadcast_shapes(h.shape, k.shape, rho.shape))
+        for claims, value in (
+            (zero_k & bent, lambda: 0.5 * nh - owens_t(h, -rho / s)),
+            (zero_h & bent, lambda: np.where(
+                zero_k, 0.25 + np.arcsin(rho) / (2.0 * math.pi), 0.5 * nk - owens_t(k, -rho / s)
+            )),
+            (rho == 0.0, lambda: nh * nk),
+            (rho == -1.0, lambda: np.maximum(nh + nk - 1.0, 0.0)),
+            (rho == 1.0, lambda: ndtr(np.minimum(h, k))),
+            (np.isposinf(k), lambda: nh),
+            (np.isposinf(h), lambda: nk),
+            (np.isneginf(k), lambda: 0.0),
+            (np.isneginf(h), lambda: 0.0),
+        ):
+            if np.any(claims):
+                out = np.where(claims, value(), out)
     out = np.clip(out, 0.0, 1.0)
-    if scalar:
-        return float(out[0])
-    return out.reshape(h_in.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def _correlated_normals(n: int, seed: int | np.random.Generator, rho: float):

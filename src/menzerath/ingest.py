@@ -104,16 +104,17 @@ class CorpusFormat:
 
 
 def _blocks(stream):
-    """``(first line number, text)`` blocks of about ``_BLOCK`` characters.
+    """Text blocks of about ``_BLOCK`` characters, each whole lines.
 
-    The text is whole lines, each ending in ``\n``.  Lines end at ``\n``
-    only, less one ``\r``: a string and a text stream split the same way
-    (``str.splitlines`` and a universal-newlines stream would also split
-    at ``\r``, U+2028 and other separators).  A string or stream comes
-    ``_BLOCK`` characters at a time, any other iterable an item at a
-    time, each item one line; a block is cut after the last ``\n`` once
-    it holds ``_BLOCK`` characters.  An item is text like any other, so
-    a ``\n`` inside it ends a line as it does in a string.
+    Each line ends in ``\n``; a parser numbers the lines itself.  Lines
+    end at ``\n`` only, less one ``\r``: a string and a text stream
+    split the same way (``str.splitlines`` and a universal-newlines
+    stream would also split at ``\r``, U+2028 and other separators).  A
+    string or stream comes ``_BLOCK`` characters at a time, any other
+    iterable an item at a time, each item one line; a block is cut after
+    the last ``\n`` once it holds ``_BLOCK`` characters.  An item is text
+    like any other, so a ``\n`` inside it ends a line as it does in a
+    string.
     """
     if isinstance(stream, str):
         chunks = (stream[i : i + _BLOCK] for i in range(0, len(stream), _BLOCK))
@@ -121,7 +122,7 @@ def _blocks(stream):
         chunks = iter(lambda: stream.read(_BLOCK), "")
     else:
         chunks = (item if item.endswith("\n") else item + "\n" for item in stream)
-    number, pieces, size = 1, [], 0
+    pieces, size = [], 0
     for chunk in chunks:
         pieces.append(chunk)
         size += len(chunk)
@@ -129,13 +130,14 @@ def _blocks(stream):
         if size < _BLOCK or not cut:
             continue
         pieces[-1] = chunk[:cut]
-        text = "".join(pieces).replace("\r\n", "\n")
-        yield number, text
-        number += text.count("\n")
+        # Most text holds no "\r": the search is far cheaper than the copy.
+        text = "".join(pieces)
+        yield text.replace("\r\n", "\n") if "\r" in text else text
         pieces, size = [chunk[cut:]], len(chunk) - cut
-    last = "".join(pieces).replace("\r\n", "\n")
+    last = "".join(pieces)
+    last = last.replace("\r\n", "\n") if "\r" in last else last
     if last:
-        yield number, last if last.endswith("\n") else last.removesuffix("\r") + "\n"
+        yield last if last.endswith("\n") else last.removesuffix("\r") + "\n"
 
 
 def _scan_rows(first: int, lines, cells: _Cells) -> None:
@@ -195,7 +197,8 @@ def parse_frequency_table(stream) -> JointFrequencyTable:
     present.
     """
     cells = _Cells(Domain.SEGMENTS, "no data rows in input")
-    for first, text in _blocks(stream):
+    first = 1
+    for text in _blocks(stream):
         # Text alternates gaps and runs of strict rows.  A run is converted
         # in one numpy call; a gap (header, comments, directive, any other
         # row) goes row by row.
@@ -331,12 +334,13 @@ def _screen(
 
 def _count_block(
     first: int, text: str, fmt: CorpusFormat, kinds: _CodeKinds, cells: _Cells
-) -> None:
+) -> int:
     """Add the key of every construct line of one block to ``cells``.
 
     :func:`_screen` counts most lines of the block's text from one flag
     array; the rest, sliced out of the text, go through :func:`_line_key`
-    in line order, so the earliest bad line raises.
+    in line order, so the earliest bad line raises.  Returns the number
+    of lines, the first numbered ``first``.
     """
     units = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
     ends = np.flatnonzero(units == 10)
@@ -351,6 +355,7 @@ def _count_block(
             keys.append(_line_key(first + i, line, stripped, fmt))
     xs, zs = np.array(keys, dtype=np.int64).reshape(-1, 2).T
     cells.add(xs, zs, np.ones_like(xs))
+    return len(ends)
 
 
 def parse_segmented_corpus(
@@ -369,6 +374,7 @@ def parse_segmented_corpus(
     """
     kinds = _CodeKinds(fmt)
     cells = _Cells(Domain.SEGMENTS, "no construct lines in input")
-    for first, text in _blocks(stream):
-        _count_block(first, text, fmt, kinds, cells)
+    first = 1
+    for text in _blocks(stream):
+        first += _count_block(first, text, fmt, kinds, cells)
     return cells.table()

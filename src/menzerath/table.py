@@ -89,8 +89,9 @@ def _check_pair(x: int, z: int, domain: Domain) -> None:
 def _as_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer, float)):
         raise InvalidPair(f"{name} must be an integer, got {value!r}")
-    if value != int(value):
-        raise InvalidPair(f"fractional {name}s are rejected, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        what = "fractional" if math.isfinite(value) else "non-finite"
+        raise InvalidPair(f"{what} {name}s are rejected, got {value!r}")
     return int(value)
 
 
@@ -412,11 +413,12 @@ def build_table(pairs, domain: Domain) -> JointFrequencyTable:
     """Build a :class:`JointFrequencyTable` from ``(x, z, count)`` rows.
 
     Rows with equal ``(x, z)`` are aggregated by summing their counts.
-    Raises :class:`InvalidPair` when a pair violates the domain
-    invariant and :class:`EmptyInput` when nothing is supplied.
+    Raises :class:`InvalidPair` when a value is not an integer (a bool,
+    a fraction, NaN or infinity) or a pair violates the domain
+    invariant, and :class:`EmptyInput` when nothing is supplied.
     """
     cells = _Cells(domain, "no pairs supplied")
-    rows = [(int(x), int(z), _as_count(n)) for x, z, n in pairs]
+    rows = [(_as_int(x, "x"), _as_int(z, "z"), _as_count(n)) for x, z, n in pairs]
     if rows:
         cells.add(*_checked_rows(*zip(*rows), domain))
     return cells.table()

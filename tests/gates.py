@@ -138,7 +138,7 @@ def test_traced_counters_see_every_table_and_artifact():
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", "fit-table-120k", "--seed", "1",
                            "--seconds", "1", "--trace", "1"], cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True)
     metrics = json.loads(proc.stdout.splitlines()[-1])["metrics"]
-    want = {"table.cells": 120000, "boundaries.grid_cells": 120000,
+    want = {"table.cells": 120000, "boundaries.grid_cells": 120000, "copula.phi2_evals": 249561,
             "report.bytes": 7081697, "svgfig.bytes": 8645831}
     got = {name: metrics[name]["value"] for name in want}
     print("traced counters:", got)

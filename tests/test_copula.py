@@ -1,13 +1,14 @@
 """Gaussian copula: CDF kernel, estimation, cells, sampling, curves."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr, ndtri, owens_t
 
 from menzerath import (
     Axis,
@@ -29,7 +30,8 @@ from menzerath import (
     predicted_mal_from_cells,
     sample_copula,
 )
-from menzerath.copula import RHO_CLAMP, _correlated_normals
+from menzerath import copula
+from menzerath.copula import RHO_CLAMP, _correlated_normals, _rectangle_masses
 
 from util import (
     probability_table,
@@ -241,6 +243,18 @@ class TestPhi2Lazy:
         # forms do, and h = 0 before k = 0; rho of 0 or +-1 comes first.
         for rho in _EDGE_RHOS + [0.3, -0.7]:
             self.same(np.array([0.0, 0.0, 1.5, -0.0]), np.array([0.0, -2.0, 0.0, 0.0]), rho)
+
+    @pytest.mark.parametrize("rho, bent", [(0.0, False), (1.0, False), (-1.0, False), (0.3, True)])
+    def test_owens_t_sees_no_entry_a_rho_case_claims(self, rho, bent):
+        # A scalar rho of 0 or +-1 claims the whole edge grid, zero limits
+        # included, so no entry reaches the T-function forms.
+        h = np.array([-np.inf, -1.0, 0.0, 0.5, np.inf])
+        k = np.array([-np.inf, -2.0, 0.0, 0.3, 1.5, np.inf])
+        with mock.patch.object(copula, "owens_t", wraps=owens_t) as t:
+            masses = _rectangle_masses(h, k, rho)
+        entries = sum(np.broadcast(*c.args).size for c in t.call_args_list)
+        assert (entries > 0) == bent
+        assert masses.shape == (4, 5) and abs(masses.sum() - 1.0) < 1e-12
 
 
 class TestEstimateRho:

@@ -246,10 +246,30 @@ class TestConstructorsCheckTheirColumns:
         ([], [], EmptyInput, "at least one value"),
         ([1, 2, 3], [1, 1], ValueError, "3 values for 2 counts"),
         ([1, 2], [1, 1, 1], ValueError, "2 values for 3 counts"),
+        ([math.nan, 2], [1, 1], InvalidPair, "non-finite values"),
+        ([1, -math.inf], [1, 1], InvalidPair, "non-finite values"),
+        ([1, 2], [math.nan, 1], InvalidPair, "non-finite counts"),
+        ([1, 2], [1, math.inf], InvalidPair, "non-finite counts"),
     ])
     def test_marginal_from_counts(self, values, counts, error, message):
         with pytest.raises(error, match=message):
             MarginalDistribution.from_counts(values, counts)
+
+    @pytest.mark.parametrize("row, message", [
+        ((2.7, 5.9, 1), "fractional xs"),
+        ((2, 5.5, 1), "fractional zs"),
+        ((True, 5, 1), "x must be an integer"),
+        ((2, True, 1), "z must be an integer"),
+        (("2", 5, 1), "x must be an integer"),
+        ((math.nan, 5, 1), "non-finite xs"),
+        ((2, math.inf, 1), "non-finite zs"),
+        ((2, 5, math.nan), "non-finite counts"),
+        ((2, 5, math.inf), "non-finite counts"),
+        ((2, 5, -math.inf), "non-finite counts"),
+    ])
+    def test_build_table(self, row, message):
+        with pytest.raises(InvalidPair, match=message):
+            build_table([(1, 3, 1), row], Domain.SEGMENTS)
 
     @pytest.mark.parametrize("support, pmf, cdf", [
         ([1, 2, 3], [0.5, 0.5], [0.5, 1.0]),
