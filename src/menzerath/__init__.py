@@ -7,17 +7,18 @@ log-normal joint fits, and Gaussian copulas over the empirical
 marginals.  Every model yields a predicted Menzerath curve that is
 compared against the empirical one by residual sum of squares.
 
-Each module's ``__all__`` is its public API, and the package
-republishes those names.  It resolves them on first use (PEP 562), so
-``import menzerath`` loads neither numpy nor scipy, and the command
-line (``__main__``) starts before they load.
+``_EXPORTS`` below is the one list of the public API: each module reads
+its ``__all__`` from it, and the package republishes those names.  It
+resolves them on first use (PEP 562), so ``import menzerath`` loads
+neither numpy nor scipy, and the command line (``__main__``) starts
+before they load.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-# Each module's ``__all__``; tests/test_package.py checks that they agree.
+# Public names by module; each module sets ``__all__ = list(_EXPORTS[module])``.
 _EXPORTS = {
     "boundaries": ("to_boundaries", "from_boundaries", "cells_from_boundaries",
                    "pairs_from_boundaries", "boundary_copula_cells"),

@@ -11,6 +11,7 @@ space and mapped back can place no mass on impossible cells.
 
 import numpy as np
 
+from . import _EXPORTS
 from .copula import (
     Estimator,
     GaussianCopulaModel,
@@ -21,13 +22,7 @@ from .copula import (
 from .errors import WrongDomain
 from .table import MAX_COUNT, Domain, JointFrequencyTable
 
-__all__ = [
-    "to_boundaries",
-    "from_boundaries",
-    "cells_from_boundaries",
-    "pairs_from_boundaries",
-    "boundary_copula_cells",
-]
+__all__ = list(_EXPORTS["boundaries"])
 
 
 def to_boundaries(table: JointFrequencyTable) -> JointFrequencyTable:

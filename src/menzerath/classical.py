@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import (
     DegenerateVariance,
     MismatchedSupport,
@@ -35,17 +36,7 @@ from .table import (
     weighted_moments,
 )
 
-__all__ = [
-    "LinearFit",
-    "HyperbolicFit",
-    "AltmannFit",
-    "fit_linear",
-    "hyperbolic_from_linear",
-    "altmann_from_loglinear",
-    "fit_altmann_direct",
-    "eval_model",
-    "rss",
-]
+__all__ = list(_EXPORTS["classical"])
 
 
 @dataclass(frozen=True)

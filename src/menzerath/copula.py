@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri, owens_t
 
+from . import _EXPORTS
 from .errors import DegenerateVariance, RhoOutOfRange, WrongDomain
 from .table import (
     Axis,
@@ -37,18 +38,7 @@ from .table import (
     weighted_moments,
 )
 
-__all__ = [
-    "Estimator",
-    "GaussianCopulaModel",
-    "JointProbabilityTable",
-    "phi2",
-    "estimate_rho",
-    "fit_copula",
-    "cell_probabilities",
-    "sample_copula",
-    "predicted_mal_from_cells",
-    "infeasible_mass",
-]
+__all__ = list(_EXPORTS["copula"])
 
 # Collinear data would put the copula on its degenerate boundary; the
 # estimate is clamped just inside (-1, 1) instead so phi2 stays defined.
@@ -200,7 +190,7 @@ class JointProbabilityTable(_CellColumns):
             key = (int(xs[i]), int(zs[i]))
             raise ValueError(f"negative probability {self.ps[i]} at {key}")
         total = float(self.ps.sum())
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:  # NaN fails
             raise ValueError(f"cell probabilities sum to {total}, not 1")
 
 

@@ -1,20 +1,8 @@
 """Exception hierarchy shared by all menzerath modules."""
 
-__all__ = [
-    "MenzerathError",
-    "InvalidPair",
-    "EmptyInput",
-    "WrongDomain",
-    "WrongSpace",
-    "LogOfNonpositive",
-    "DegenerateVariance",
-    "NonpositiveY",
-    "MismatchedSupport",
-    "RhoOutOfRange",
-    "UOutOfRange",
-    "ParseError",
-    "EmptyConstituent",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["errors"])
 
 
 class MenzerathError(Exception):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .copula import _correlated_normals, _rectangle_masses
 from .errors import DegenerateVariance, LogOfNonpositive, RhoOutOfRange
 from .table import (
@@ -25,15 +26,7 @@ from .table import (
     weighted_moments,
 )
 
-__all__ = [
-    "BivariateGaussianParams",
-    "Discretize",
-    "fit_bivariate",
-    "fit_bivariate_pairs",
-    "lattice_density",
-    "predicted_mal",
-    "sample_synthetic",
-]
+__all__ = list(_EXPORTS["gaussian"])
 
 
 class Discretize(enum.Enum):
@@ -60,6 +53,9 @@ class BivariateGaussianParams:
     space: Space
 
     def __post_init__(self):
+        fields = (self.mean_x, self.mean_z, self.sd_x, self.sd_z, self.rho)
+        if not all(math.isfinite(v) for v in fields):
+            raise ValueError(f"parameters must be finite, got {fields}")
         if self.sd_x <= 0 or self.sd_z <= 0:
             raise DegenerateVariance("sds must be positive")
         if abs(self.rho) > 1.0:
@@ -87,6 +83,8 @@ def fit_bivariate_pairs(pairs, space: Space) -> BivariateGaussianParams:
     arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or len(arr) == 0:
         raise ValueError("pairs must be a nonempty (n, 2) array")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("pairs must be finite")
     xs, zs = arr[:, 0], arr[:, 1]
     if space is Space.LOG:
         if np.any(xs <= 0) or np.any(zs <= 0):
@@ -104,8 +102,9 @@ def lattice_density(
     [z-1/2, z+1/2] under the raw bivariate normal, or of the log-mapped
     cell under the log-normal, making cell masses directly comparable
     to empirical relative frequencies.  With ``renormalize`` the masses
-    are rescaled to sum to 1 over the requested window.  A gapped window
-    is evaluated on its contiguous hull and the requested cells picked.
+    are rescaled to sum to 1 over the requested window.  The CDF grid
+    holds only the requested cells' edges, so a gapped window costs what
+    its cells cost.
     """
     if abs(params.rho) >= 1.0:
         raise RhoOutOfRange("density needs |rho| < 1")
@@ -118,15 +117,18 @@ def lattice_density(
         raise ValueError("x_range and z_range must be strictly ascending")
     if params.space is Space.LOG and (xs[0] - 0.5 <= 0 or zs[0] - 0.5 <= 0):
         raise LogOfNonpositive("log-space lattice needs cell edges > 0")
-    # One CDF grid over the cell edges of the hull.
-    x_edges = np.arange(xs[0], xs[-1] + 2) - 0.5
-    z_edges = np.arange(zs[0], zs[-1] + 2) - 0.5
+    # One CDF grid over the cells' edges; each cell's row starts at its
+    # lower edge, and a rectangle that spans a gap is never picked.
+    x_edges = np.union1d(xs - 0.5, xs + 0.5)
+    z_edges = np.union1d(zs - 0.5, zs + 0.5)
+    rows = np.searchsorted(x_edges, xs - 0.5)
+    cols = np.searchsorted(z_edges, zs - 0.5)
     if params.space is Space.LOG:
         x_edges = np.log(x_edges)
         z_edges = np.log(z_edges)
     h = (x_edges - params.mean_x) / params.sd_x
     k = (z_edges - params.mean_z) / params.sd_z
-    masses = _rectangle_masses(h, k, params.rho)[np.ix_(xs - xs[0], zs - zs[0])]
+    masses = _rectangle_masses(h, k, params.rho)[np.ix_(rows, cols)]
     if renormalize:
         total = masses.sum()
         if total > 0:

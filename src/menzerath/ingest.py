@@ -17,16 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from ._text import _format_rows
 from .errors import EmptyConstituent, EmptyInput, ParseError
 from .table import Domain, JointFrequencyTable, _Cells, _checked_rows
 
-__all__ = [
-    "CorpusFormat",
-    "parse_frequency_table",
-    "write_frequency_table",
-    "parse_segmented_corpus",
-]
+__all__ = list(_EXPORTS["ingest"])
 
 COMMENT_PREFIX = "#"
 _DOMAIN_DIRECTIVES = {

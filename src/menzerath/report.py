@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _EXPORTS
 from ._text import _format_rows
 from .boundaries import boundary_copula_cells
 from .classical import (
@@ -47,16 +48,7 @@ from .table import (
     weighted_moments,
 )
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "MODEL_ORDER",
-    "Comparison",
-    "compare",
-    "write_report",
-    "curves_csv",
-    "cells_csv",
-    "write_artifacts",
-]
+__all__ = list(_EXPORTS["report"])
 
 SCHEMA_VERSION = 1
 

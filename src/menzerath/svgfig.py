@@ -12,10 +12,11 @@ output, element order is fixed, and no external resource is referenced.
 
 import numpy as np
 
+from . import _EXPORTS
 from ._text import _format_rows
 from .table import Domain
 
-__all__ = ["render_svg"]
+__all__ = list(_EXPORTS["svgfig"])
 
 
 _CLASSICAL = ("hyperbolic", "altmann", "altmann-direct")

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import (
     DegenerateVariance,
     EmptyInput,
@@ -34,19 +35,7 @@ from .errors import (
     WrongDomain,
 )
 
-__all__ = [
-    "Domain",
-    "Axis",
-    "Space",
-    "JointFrequencyTable",
-    "MarginalDistribution",
-    "WeightedMoments",
-    "MalCurve",
-    "build_table",
-    "marginal",
-    "empirical_mal_curve",
-    "weighted_moments",
-]
+__all__ = list(_EXPORTS["table"])
 
 # Counts live in int64 columns and silent wraparound is forbidden, so
 # construction rejects totals beyond signed 64-bit range.
@@ -441,13 +430,14 @@ class MarginalDistribution:
         sizes = (len(self.support), len(self.pmf), len(self.cdf))
         if not 0 < sizes[0] == sizes[1] == sizes[2]:
             raise ValueError(f"support, pmf and cdf need one length >= 1, got {sizes}")
-        if np.any(np.diff(self.support) <= 0):
+        # Each check is written so that NaN fails it.
+        if not np.all(np.diff(self.support) > 0):
             raise InvalidPair("support must be strictly ascending")
-        if np.any(self.pmf <= 0):
+        if not np.all(self.pmf > 0):
             raise InvalidPair("pmf values must be positive")
-        if abs(float(self.pmf.sum()) - 1.0) > 1e-12:
+        if not abs(float(self.pmf.sum()) - 1.0) <= 1e-12:
             raise InvalidPair("pmf must sum to 1")
-        if np.any(np.diff(self.cdf) < 0) or self.cdf[-1] != 1.0:
+        if not np.all(np.diff(self.cdf) >= 0) or self.cdf[-1] != 1.0:
             raise InvalidPair("cdf must be nondecreasing and end at exactly 1")
         for arr in (self.support, self.pmf, self.cdf):
             arr.setflags(write=False)
@@ -571,9 +561,9 @@ class MalCurve:
     def __post_init__(self):
         if len(self.xs) == 0:
             raise EmptyInput("curve has no points")
-        if np.any(np.diff(self.xs) <= 0):
+        if not np.all(np.diff(self.xs) > 0):
             raise InvalidPair("curve x values must be strictly ascending")
-        if np.any(self.ns <= 0):
+        if not np.all(self.ns > 0):  # NaN fails
             raise InvalidPair("curve weights must be positive")
         for arr in (self.xs, self.ys, self.ns):
             arr.setflags(write=False)

@@ -1,6 +1,7 @@
 """Bivariate (log-)normal fitting, lattice densities, curves, sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,21 @@ class TestLatticeDensity:
         gapped = lattice_density(params, [1, 3, 5], [2, 8], renormalize=False)
         for key, p in gapped.items():
             assert p == pytest.approx(full[key], abs=1e-12)
+
+    def test_wide_sparse_window_costs_its_cells(self):
+        # The grid holds the requested cells' edges, not the hull's 10**7.
+        params = BivariateGaussianParams(2.0, 5.0, 1.0, 2.0, 0.3, Space.RAW)
+        tracemalloc.start()
+        try:
+            wide = lattice_density(params, [1, 10**7], [1, 2, 3], renormalize=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        for x in (1, 10**7):
+            alone = lattice_density(params, [x], [1, 2, 3], renormalize=False)
+            for key, p in alone.items():
+                assert np.float64(wide[key]).tobytes() == np.float64(p).tobytes(), key
 
     def test_degenerate_rho_rejected(self):
         params = BivariateGaussianParams(0.0, 0.0, 1.0, 1.0, 1.0, Space.RAW)

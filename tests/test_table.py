@@ -14,6 +14,7 @@ from scipy.special import ndtr
 from menzerath import (
     MODEL_ORDER,
     Axis,
+    BivariateGaussianParams,
     DegenerateVariance,
     Domain,
     EmptyInput,
@@ -21,6 +22,7 @@ from menzerath import (
     JointFrequencyTable,
     JointProbabilityTable,
     LogOfNonpositive,
+    MalCurve,
     MarginalDistribution,
     Space,
     UOutOfRange,
@@ -28,6 +30,7 @@ from menzerath import (
     build_table,
     compare,
     empirical_mal_curve,
+    fit_bivariate_pairs,
     marginal,
     parse_frequency_table,
     weighted_moments,
@@ -288,6 +291,35 @@ class TestConstructorsCheckTheirColumns:
     def test_joint_probability_table(self, xs, zs, ps):
         with pytest.raises(ValueError, match="unequal length"):
             JointProbabilityTable(Domain.SEGMENTS, xs, zs, ps)
+
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: JointProbabilityTable(Domain.SEGMENTS, [1, 1], [1, 2], [math.nan, math.nan]),
+         ValueError, "sum to nan"),
+        (lambda: JointProbabilityTable(Domain.SEGMENTS, [1, 1], [1, 2], [math.nan, 1.0]),
+         ValueError, "sum to nan"),
+        (lambda: MarginalDistribution(np.array([math.nan, 2.0]), np.array([0.5, 0.5]),
+                                      np.array([0.5, 1.0])),
+         InvalidPair, "support must be strictly ascending"),
+        (lambda: MarginalDistribution(np.array([1, 2]), np.array([math.nan, math.nan]),
+                                      np.array([math.nan, 1.0])),
+         InvalidPair, "pmf values must be positive"),
+        (lambda: MarginalDistribution(np.array([1, 2]), np.array([0.5, 0.5]),
+                                      np.array([math.nan, 1.0])),
+         InvalidPair, "cdf must be nondecreasing"),
+        (lambda: MalCurve(np.array([1, 2]), np.array([2.0, 1.5]), np.array([math.nan, 1.0])),
+         InvalidPair, "curve weights must be positive"),
+        (lambda: BivariateGaussianParams(1.0, 2.0, math.nan, 1.0, math.nan, Space.RAW),
+         ValueError, "must be finite"),
+        (lambda: BivariateGaussianParams(math.inf, 2.0, 1.0, 1.0, 0.5, Space.RAW),
+         ValueError, "must be finite"),
+        (lambda: fit_bivariate_pairs([[1, math.nan], [2, 3], [3, 5]], Space.RAW),
+         ValueError, "pairs must be finite"),
+    ], ids=["probabilities-all-nan", "probabilities-one-nan", "marginal-support",
+            "marginal-pmf", "marginal-cdf", "curve-weights", "params-nan", "params-inf",
+            "pairs"])
+    def test_nan_fails_every_invariant(self, make, error, message):
+        with pytest.raises(error, match=message):
+            make()
 
     @pytest.mark.parametrize("xs, zs, ns", [
         ([1, 2], [1, 2, 3], [1, 1]),
