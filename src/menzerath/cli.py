@@ -12,8 +12,12 @@ Exit codes: 0 success, 1 option, input or parse errors, 2 fit errors
 """
 
 import argparse
+import os
 import sys
 import warnings
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing, suppress
 from pathlib import Path
 
 import numpy as np
@@ -184,18 +188,65 @@ def _copula(args, table, comparison):
     return fit_copula(fit_table, args.estimator)
 
 
-def _draws(model, n: int, seed: int):
-    """``sample_copula(model, n, seed)`` in ``_text._BLOCK``-row chunks of segment pairs.
+# A draw chunk is this many _text._BLOCK blocks of rows (2^16 rows).
+_CHUNK_BLOCKS = 8
+# The most pool threads, whatever the CPU count, so that the chunks held
+# at once (one per thread and the one being written) stay bounded.
+_MAX_WORKERS = 4
 
-    The chunks come from one Generator, whose stream they continue, so
-    they concatenate to the one-shot draw.  A boundary-domain model's
-    pairs are mapped back to segments.  Peak memory follows the block
-    and the table, not n (unless the scatter in figure.svg keeps every row).
+
+def _workers() -> int:
+    """Pool threads for the draw: the CPUs this process may run on, at most ``_MAX_WORKERS``."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity outside Linux
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS)
+
+
+def _chunk(model, seed: int, start: int, m: int, rows: bool):
+    """Rows ``[start, start + m)`` of ``sample_copula(model, n, seed)`` as segment pairs.
+
+    PCG64 spends one word per element over 2**53, so ``PCG64(seed)``
+    advanced by ``2 * start`` words stands where the one-shot draw
+    stands at row ``start``.  Returns the pairs and, if ``rows``, their
+    ``samples.csv`` rows as bytes.
     """
-    rng = np.random.default_rng(seed)
-    for start in range(0, n, _text._BLOCK):
-        pairs = sample_copula(model, min(_text._BLOCK, n - start), rng)
-        yield pairs_from_boundaries(pairs) if model.domain is Domain.BOUNDARIES else pairs
+    rng = np.random.Generator(np.random.PCG64(seed).advance(2 * start))
+    pairs = sample_copula(model, m, rng)
+    if model.domain is Domain.BOUNDARIES:
+        pairs = pairs_from_boundaries(pairs)
+    text = None
+    if rows:
+        text = "".join(_text._format_rows("%d,%d\n", "", pairs[:, 0], pairs[:, 1])).encode()
+    return pairs, text
+
+
+def _draws(model, n: int, seed: int, rows: bool = False):
+    """``sample_copula(model, n, seed)`` in chunks of segment pairs, drawn ahead on threads.
+
+    Yields ``(pairs, text)`` per chunk of ``_CHUNK_BLOCKS * _text._BLOCK``
+    rows, in order (see :func:`_chunk`).  Each chunk is drawn from its
+    own stream position on a pool of :func:`_workers` threads, at most
+    one chunk per thread ahead of the one yielded, so the chunks
+    concatenate to the one-shot draw whatever the thread count, and
+    peak memory follows the chunk, the thread cap and the table, not n.
+    A chunk's exception is raised when its turn comes.  The pool is shut
+    down, its queued chunks cancelled, when the generator ends or is closed.
+    """
+    size = _CHUNK_BLOCKS * _text._BLOCK
+    workers = _workers()
+    pool = ThreadPoolExecutor(workers)
+    ahead = deque()
+    try:
+        for start in range(0, n, size):
+            ahead.append(pool.submit(_chunk, model, seed, start, min(size, n - start), rows))
+            if len(ahead) > workers:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _cmd_fit(args, table) -> int:
@@ -204,7 +255,8 @@ def _cmd_fit(args, table) -> int:
     if "svg" in args.emit:
         # The scatter mirrors `sample`.
         try:
-            parts = list(_draws(_copula(args, table, comparison), args.n, args.seed))
+            parts = [pairs for pairs, _ in _draws(_copula(args, table, comparison),
+                                                  args.n, args.seed)]
         except MenzerathError as exc:
             # The report stands without the scatter; say why it is missing.
             warnings.warn(f"figure.svg has no sample scatter: {exc}")
@@ -228,13 +280,22 @@ def _cmd_sample(args, table) -> int:
         f"rho={model.rho!r} n={args.n} seed={args.seed}\nx,z\n"
     )
     parts = []
-    with open(out_dir / "samples.csv", "wb") as out:
-        out.write(header.encode("utf-8"))
-        for pairs in _draws(model, args.n, args.seed):
-            for text in _text._format_rows("%d,%d\n", "", pairs[:, 0], pairs[:, 1]):
-                out.write(text.encode("utf-8"))
-            if comparison is not None:
-                parts.append(pairs)
+    # Written under a temporary name and moved into place whole, so an
+    # error leaves no samples.csv and an earlier one as it was.
+    partial = out_dir / f".samples.csv.{os.getpid()}.tmp"
+    try:
+        with open(partial, "wb") as out, \
+                closing(_draws(model, args.n, args.seed, rows=True)) as chunks:
+            out.write(header.encode("utf-8"))
+            for pairs, text in chunks:
+                out.write(text)
+                if comparison is not None:
+                    parts.append(pairs)
+        os.replace(partial, out_dir / "samples.csv")
+    except BaseException:
+        with suppress(OSError):
+            partial.unlink()
+        raise
     if comparison is not None:
         write_artifacts(out_dir, comparison, {"svg"}, args.n, np.concatenate(parts))
     print(f"wrote {out_dir / 'samples.csv'} ({args.n} pairs, seed {args.seed})")

@@ -43,6 +43,8 @@ __all__ = list(_EXPORTS["copula"])
 # Collinear data would put the copula on its degenerate boundary; the
 # estimate is clamped just inside (-1, 1) instead so phi2 stays defined.
 RHO_CLAMP = 1.0 - 1e-9
+# The largest uniform of the seeded draw: 1 - 2**-53.
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 class Estimator(enum.Enum):
@@ -142,13 +144,17 @@ def _correlated_normals(n: int, seed: int | np.random.Generator, rho: float):
     Each deviate is the normal quantile of ``(j + 0.5) * 2**-53`` for a
     53-bit j from numpy's PCG64 ``default_rng(seed)``: the same bytes on
     every platform.  For j >= 2**52, ``j + 0.5`` rounds to even, so
-    j = 2**53 - 1 gives +inf.  Over 2**53 PCG64 spends one word per
+    j = 2**53 - 1 would give 1.0 and +inf; that one j is held at the
+    largest double below 1.  Over 2**53 PCG64 spends one word per
     element and carries no bits between calls, so draws from one
     ``Generator`` passed as ``seed`` concatenate to the one-shot draw,
-    bit for bit: ``menzerath sample`` writes its chunks on that.
+    bit for bit, and a ``PCG64(seed)`` advanced by ``2 * start`` words
+    draws the pairs from ``start`` on: ``menzerath sample`` draws its
+    chunks on that.
     """
     j = np.random.default_rng(seed).integers(0, 2**53, size=(int(n), 2), dtype=np.int64)
-    z = ndtri((j + 0.5) * 2.0**-53)
+    u = (j + 0.5) * 2.0**-53
+    z = ndtri(np.minimum(u, _BELOW_ONE, out=u))
     return z[:, 0], rho * z[:, 0] + math.sqrt(1.0 - rho * rho) * z[:, 1]
 
 

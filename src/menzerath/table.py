@@ -482,7 +482,8 @@ class MarginalDistribution:
         ``u`` in ``[b/K, (b+1)/K)`` maps to when no CDF value falls in
         that bin, and -1 when one does.  ``b/K`` is exact, and so is
         ``floor(u * K)``, since ``K`` is a power of two.  Bin ``K``
-        holds ``cdf[-1] == 1.0``, so it is always -1.
+        holds ``cdf[-1] == 1.0``, so it is always -1.  Threads that
+        meet it unbuilt may each build it; the tables are equal.
         """
         k = 1 << max(10, (16 * len(self.cdf) - 1).bit_length())
         below = np.searchsorted(self.cdf, np.arange(k + 2) / k, side="left")
@@ -549,9 +550,10 @@ class WeightedMoments:
 class MalCurve:
     """Menzerath curve: mean constituent length per construct length.
 
-    ``xs`` is strictly ascending; ``ys`` holds the mean constituent
-    length at each x; ``ns`` the weights (construct counts for empirical
-    curves, probability mass for model curves, 1 for evaluated models).
+    ``xs`` is strictly ascending; ``ys`` holds the finite mean
+    constituent length at each x; ``ns`` the weights (construct counts
+    for empirical curves, probability mass for model curves, 1 for
+    evaluated models).
     """
 
     xs: np.ndarray
@@ -565,6 +567,8 @@ class MalCurve:
             raise InvalidPair("curve x values must be strictly ascending")
         if not np.all(self.ns > 0):  # NaN fails
             raise InvalidPair("curve weights must be positive")
+        if not np.all(np.isfinite(self.ys)):
+            raise InvalidPair("curve means must be finite")
         for arr in (self.xs, self.ys, self.ns):
             arr.setflags(write=False)
 

@@ -23,22 +23,29 @@ BUNDLED = ROOT / "data" / "menzerath_synthetic.csv"
 
 # A small parent: Linux carries a parent's RSS at exec into the child's
 # ru_maxrss, so no command is spawned from this process, which may hold
-# large inputs.
+# large inputs.  Given a CPU count, it pins itself, and so the command,
+# to that many of the CPUs it may use.
 _PARENT = (
     "import os, subprocess, sys\n"
-    "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+    "cpus = int(sys.argv[1])\n"
+    "if cpus:\n"
+    "    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:cpus])\n"
+    "proc = subprocess.Popen(sys.argv[2:], stdout=subprocess.DEVNULL)\n"
     "_, status, usage = os.wait4(proc.pid, 0)\n"
     "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, usage.ru_minflt)\n"
 )
+# One-CPU runs pin the command with os.sched_setaffinity, which is Linux only.
+ONE_CPU = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                             reason="needs os.sched_setaffinity")
 
 
-def launch(*args, env=None):
-    """Run ``python args`` through the small parent.
+def launch(*args, env=None, cpus=0):
+    """Run ``python args`` through the small parent, on ``cpus`` CPUs if not 0.
 
     Returns the command's own peak RSS in MB and its minor page faults.
     """
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), **(env or {})}
-    proc = subprocess.run([sys.executable, "-c", _PARENT, sys.executable, *args],
+    proc = subprocess.run([sys.executable, "-c", _PARENT, str(cpus), sys.executable, *args],
                           cwd=ROOT, env=env, capture_output=True, text=True, check=True)
     code, maxrss, minflt = map(int, proc.stdout.split())
     assert code == 0, (args, proc.stderr)
@@ -104,16 +111,22 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("name, env", [pytest.param(name, None, id=name) for name in PINNED] + [
+@pytest.mark.parametrize("name, env, cpus", [pytest.param(name, None, 0, id=name) for name in PINNED] + [
     # The command asks for one OpenBLAS thread only when the variable is
     # unset (tests/test_entry.py); no artifact byte may depend on the count.
-    pytest.param(name, {"OPENBLAS_NUM_THREADS": "2"}, id=f"{name}-openblas-2")
+    pytest.param(name, {"OPENBLAS_NUM_THREADS": "2"}, 0, id=f"{name}-openblas-2")
     for name in ("sample", "sample-boundaries")
+] + [
+    # The draw chunks of samples.csv run on a thread per usable CPU; on
+    # one CPU, on one thread, to the same bytes.
+    pytest.param(name, None, 1, id=f"{name}-1cpu", marks=ONE_CPU)
+    for name in ("sample", "sample-boundaries", "sample-120k")
 ])
-def test_pinned_run(name, env, work, tmp_path):
+def test_pinned_run(name, env, cpus, work, tmp_path):
     source, argv, pins = PINNED[name]
     path = source if isinstance(source, Path) else workload(source, work)
-    launch("-m", "menzerath", *argv, "--input", str(path), "--out", str(tmp_path), env=env)
+    launch("-m", "menzerath", *argv, "--input", str(path), "--out", str(tmp_path), env=env,
+           cpus=cpus)
     for artifact, (sha256, needle, count) in pins.items():
         data = (tmp_path / artifact).read_bytes()
         got = (hashlib.sha256(data).hexdigest(), data.count(needle.encode()))
@@ -145,9 +158,9 @@ def test_traced_counters_see_every_table_and_artifact():
     assert got == want
 
 
-def assert_flat_peak(runs):
+def assert_flat_peak(runs, cpus=0):
     """Each argv of ``runs`` as one cold command; their peak RSS values lie within 15 MB."""
-    rss = {key: launch("-m", "menzerath", *argv)[0] for key, argv in runs.items()}
+    rss = {key: launch("-m", "menzerath", *argv, cpus=cpus)[0] for key, argv in runs.items()}
     print("peak RSS (MB):", rss)
     assert max(rss.values()) - min(rss.values()) <= 15, rss
 
@@ -168,13 +181,17 @@ def test_ingest_memory_follows_the_block(kind, tiles, tmp_path):
     assert_flat_peak(runs)
 
 
+@pytest.mark.parametrize("cpus", [0, pytest.param(1, marks=ONE_CPU)], ids=["all-cpus", "1cpu"])
 @pytest.mark.parametrize("source", [BUNDLED, "fit-table-120k"], ids=["bundled", "wide-120k"])
-def test_sample_memory_follows_the_block(source, work, tmp_path):
-    # samples.csv is drawn and written in _text._BLOCK-row chunks, on a
-    # 6 x 20 support and on the 80 x 1579 support of the 120k table.
+def test_sample_memory_follows_the_block(source, cpus, work, tmp_path):
+    # samples.csv is drawn in draw chunks of cli._CHUNK_BLOCKS blocks of
+    # _text._BLOCK rows (2^16 rows), at most one per pool thread ahead of
+    # the one being written, on a 6 x 20 support and on the 80 x 1579
+    # support of the 120k table.  The thread count is capped.
     path = source if isinstance(source, Path) else workload(source, work)
     assert_flat_peak({n: ["sample", "--input", str(path), "--n", str(n), "--emit", "csv",
-                          "--out", str(tmp_path / f"out-{n}")] for n in (100_000, 1_000_000)})
+                          "--out", str(tmp_path / f"out-{n}")] for n in (100_000, 1_000_000)},
+                     cpus)
 
 
 # The entry without its allocator policy: one BLAS thread, cli.main, flush

@@ -10,6 +10,7 @@ from menzerath import (
     DegenerateVariance,
     Domain,
     HyperbolicFit,
+    InvalidPair,
     LinearFit,
     MalCurve,
     MismatchedSupport,
@@ -187,6 +188,14 @@ class TestRss:
         b = points_curve([(1, 3.0, 1), (2, 0.5, 1)])
         assert rss(a, b) == 2.0
         assert rss(b, a) == 2.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mean_is_refused_either_way_round(self, bad):
+        # rss read nan, with either curve first, when one mean was not finite.
+        good = points_curve([(1, 2.0, 1), (2, 1.0, 1)])
+        for call in (lambda c: rss(c, good), lambda c: rss(good, c)):
+            with pytest.raises(InvalidPair, match="curve means must be finite"):
+                call(points_curve([(1, bad, 1), (2, 1.0, 1)]))
 
     def test_mismatched_support(self):
         a = points_curve([(1, 2.0, 1), (2, 1.5, 1)])

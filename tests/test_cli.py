@@ -530,8 +530,9 @@ class TestSampleChunks:
         argv = ["sample", "--input", str(table_file), "--n", "50", "--seed", "4",
                 "--emit", "csv,svg", *flags]
         assert cli.main([*argv, "--out", str(tmp_path / "whole")]) == 0
-        # 50 rows in chunks of 7: seven full chunks and a 1-row remainder.
-        monkeypatch.setattr(_text, "_BLOCK", 7)
+        # 50 rows in draw chunks of 8 blocks of 2: three full chunks and a
+        # 2-row remainder.
+        monkeypatch.setattr(_text, "_BLOCK", 2)
         out = tmp_path / "chunked"
         assert cli.main([*argv, "--out", str(out)]) == 0
 
@@ -634,6 +635,102 @@ class TestSampleChunks:
         header, columns, rows = text.split(b"\n", 2)
         assert header.startswith(b"# model=copula") and columns == b"x,z"
         assert rows == want
+
+
+class TestDrawPool:
+    """The draw chunks of `sample` and the `fit` scatter, on a pool of threads."""
+
+    @pytest.mark.parametrize("block", [None, 2], ids=["block-default", "block-2"])
+    @pytest.mark.parametrize("boundaries", [False, True])
+    def test_bytes_do_not_depend_on_the_worker_count(
+        self, block, boundaries, table_file, tmp_path, monkeypatch
+    ):
+        from menzerath import (
+            _text, cli, fit_copula, pairs_from_boundaries, parse_frequency_table,
+            sample_copula, to_boundaries,
+        )
+
+        if block is not None:
+            monkeypatch.setattr(_text, "_BLOCK", block)
+        # Two full draw chunks and a 5-row remainder.
+        n = 2 * cli._CHUNK_BLOCKS * _text._BLOCK + 5
+        flags = ["--input", str(table_file), "--n", str(n), "--seed", "6",
+                 *["--boundaries"] * boundaries]
+        outputs = set()
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(cli, "_workers", lambda: workers)
+            out = tmp_path / str(workers)
+            assert cli.main(["sample", *flags, "--emit", "csv,svg", "--out", str(out / "s")]) == 0
+            assert cli.main(["fit", *flags, "--models", "copula", "--emit", "svg",
+                             "--out", str(out / "f")]) == 0
+            outputs.add(tuple((out / name).read_bytes() for name in (
+                "s/samples.csv", "s/figure.svg", "f/figure.svg")))
+        assert len(outputs) == 1
+        csv = outputs.pop()[0]
+        table = parse_frequency_table(TABLE)
+        model = fit_copula(to_boundaries(table) if boundaries else table)
+        expected = sample_copula(model, n, 6)
+        if boundaries:
+            expected = pairs_from_boundaries(expected)
+        assert csv.split(b"\n", 2)[2] == (("%d,%d\n" * n) % tuple(expected.ravel().tolist())).encode()
+
+    def test_failed_chunk_leaves_no_samples_csv(self, table_file, tmp_path, monkeypatch, capsys):
+        from menzerath import UOutOfRange, _text, cli
+
+        # Chunks of 16 rows: the third starts at row 32.
+        monkeypatch.setattr(_text, "_BLOCK", 2)
+        argv = ["sample", "--input", str(table_file), "--n", "100"]
+        assert cli.main([*argv, "--out", str(tmp_path / "earlier")]) == 0
+        earlier = (tmp_path / "earlier" / "samples.csv").read_bytes()
+        chunk = cli._chunk
+
+        def third_fails(model, seed, start, m, rows):
+            if start == 32:
+                raise UOutOfRange("the third chunk failed")
+            return chunk(model, seed, start, m, rows)
+
+        monkeypatch.setattr(cli, "_chunk", third_fails)
+        capsys.readouterr()
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(cli, "_workers", lambda: workers)
+            for out in (tmp_path / "earlier", tmp_path / f"fresh-{workers}"):
+                assert cli.main([*argv, "--seed", "1", "--out", str(out)]) == 2
+                assert capsys.readouterr() == ("", "fit error: the third chunk failed\n")
+            assert sorted(p.name for p in (tmp_path / "earlier").iterdir()) == ["samples.csv"]
+            assert (tmp_path / "earlier" / "samples.csv").read_bytes() == earlier
+            assert list((tmp_path / f"fresh-{workers}").iterdir()) == []
+
+    def test_errors_surface_in_chunk_order_and_the_pool_ends(
+        self, table_file, tmp_path, monkeypatch, capsys
+    ):
+        import threading
+
+        from menzerath import UOutOfRange, _text, cli
+
+        monkeypatch.setattr(_text, "_BLOCK", 2)
+        monkeypatch.setattr(cli, "_workers", lambda: 3)
+        chunk = cli._chunk
+        third_failed = threading.Event()
+
+        def failing(model, seed, start, m, rows):
+            # The third chunk fails first; the second fails after it.
+            if start == 32:
+                third_failed.set()
+                raise UOutOfRange("third")
+            if start == 16:
+                assert third_failed.wait(timeout=10)
+                raise UOutOfRange("second")
+            return chunk(model, seed, start, m, rows)
+
+        threads = set(threading.enumerate())
+        argv = ["sample", "--input", str(table_file), "--n", "100", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert set(threading.enumerate()) == threads
+        monkeypatch.setattr(cli, "_chunk", failing)
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "fit error: second\n"
+        assert set(threading.enumerate()) == threads
 
 
 class TestDeterminism:

@@ -398,15 +398,56 @@ class TestSampleCopula:
         one_shot = sample_copula(model, sum(sizes), seed)
         assert np.concatenate(chunks).tobytes() == one_shot.tobytes()
 
+    @given(
+        seed=st.integers(0, 2**63 - 1),
+        start=st.one_of(st.integers(0, 400), st.sampled_from([8, 16, 1 << 13, 1 << 16])),
+        k=st.integers(0, 40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_advanced_generator_draws_the_rows_at_its_position(self, seed, start, k):
+        # menzerath sample draws chunk [start, start + k) from PCG64(seed)
+        # advanced by two words per earlier row.
+        model = random_model(np.random.default_rng(34))
+        rng = np.random.Generator(np.random.PCG64(seed).advance(2 * start))
+        one_shot = sample_copula(model, start + k, seed)
+        assert sample_copula(model, k, rng).tobytes() == one_shot[start:].tobytes()
+
+    @staticmethod
+    def fixed(j):
+        """A Generator whose ``integers`` returns the pairs ``j``."""
+        class Fixed(np.random.Generator):
+            def integers(self, low, high=None, size=None, dtype=np.int64, endpoint=False):
+                return np.array(j, dtype=dtype).reshape(size)
+
+        return Fixed(np.random.PCG64(0))
+
     def test_draw_maps_integers_to_mid_point_uniforms(self):
         # The integers j = 0 and 1 of a pair give the uniforms 2**-54 and
         # 1.5 * 2**-53, the mid-points of their 2**-53 steps, in that order.
-        class Fixed(np.random.Generator):
-            def integers(self, low, high=None, size=None, dtype=np.int64, endpoint=False):
-                return np.array([[0, 1]], dtype=dtype)
-
-        z1, z2 = _correlated_normals(1, Fixed(np.random.PCG64(0)), 0.0)
+        z1, z2 = _correlated_normals(1, self.fixed([[0, 1]]), 0.0)
         assert (z1[0], z2[0]) == (ndtri(2.0**-54), ndtri(1.5 * 2.0**-53))
+
+    def test_top_integer_draws_the_largest_uniform_below_one(self):
+        # (j + 0.5) * 2**-53 rounds to 1.0 at j = 2**53 - 1 alone, whose
+        # normal would be +inf, and at rho = 0 the second deviate
+        # 0 * inf = nan.  It is held at 1 - 2**-53; j = 2**53 - 2 keeps
+        # its 1 - 2**-52.
+        top = 2**53 - 1
+        z1, z2 = _correlated_normals(1, self.fixed([[top, top - 1]]), 0.0)
+        assert (z1[0], z2[0]) == (ndtri(np.nextafter(1.0, 0.0)), ndtri(1.0 - 2.0**-52))
+        assert z2[0] < z1[0] < math.inf
+        model = tiny_model(0.0)
+        pairs = sample_copula(model, 1, self.fixed([[top, top]]))
+        assert pairs.tolist() == [[2, 4]]
+        # Below the top, every j keeps the uniform it had before the clamp,
+        # so no drawn (and no pinned) byte moves.
+        j = np.concatenate([np.arange(2**53 - 4096, 2**53), np.arange(4096),
+                            np.random.default_rng(3).integers(0, 2**53, 8192)])
+        j = j.reshape(-1, 2)
+        z1, z2 = _correlated_normals(len(j), self.fixed(j), 0.0)
+        before = ndtri((j + 0.5) * 2.0**-53)
+        moved = np.flatnonzero((z1 != before[:, 0]) | (z2 != before[:, 1]))
+        assert moved.tolist() == [2047] and j[2047, 1] == top
 
     @pytest.mark.parametrize("domain", [Domain.SEGMENTS, Domain.BOUNDARIES])
     def test_values_are_the_supports_at_the_drawn_indices(self, domain):

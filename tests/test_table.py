@@ -308,6 +308,8 @@ class TestConstructorsCheckTheirColumns:
          InvalidPair, "cdf must be nondecreasing"),
         (lambda: MalCurve(np.array([1, 2]), np.array([2.0, 1.5]), np.array([math.nan, 1.0])),
          InvalidPair, "curve weights must be positive"),
+        (lambda: MalCurve(np.array([1, 2]), np.array([math.nan, 1.5]), np.array([1.0, 1.0])),
+         InvalidPair, "curve means must be finite"),
         (lambda: BivariateGaussianParams(1.0, 2.0, math.nan, 1.0, math.nan, Space.RAW),
          ValueError, "must be finite"),
         (lambda: BivariateGaussianParams(math.inf, 2.0, 1.0, 1.0, 0.5, Space.RAW),
@@ -315,7 +317,7 @@ class TestConstructorsCheckTheirColumns:
         (lambda: fit_bivariate_pairs([[1, math.nan], [2, 3], [3, 5]], Space.RAW),
          ValueError, "pairs must be finite"),
     ], ids=["probabilities-all-nan", "probabilities-one-nan", "marginal-support",
-            "marginal-pmf", "marginal-cdf", "curve-weights", "params-nan", "params-inf",
+            "marginal-pmf", "marginal-cdf", "curve-weights", "curve-means", "params-nan", "params-inf",
             "pairs"])
     def test_nan_fails_every_invariant(self, make, error, message):
         with pytest.raises(error, match=message):
