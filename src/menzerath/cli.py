@@ -17,7 +17,7 @@ import sys
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing, suppress
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ from .boundaries import from_boundaries, pairs_from_boundaries, to_boundaries
 from .copula import Estimator, fit_copula, sample_copula
 from .errors import EmptyConstituent, EmptyInput, InvalidPair, MenzerathError, ParseError
 from .ingest import CorpusFormat, parse_frequency_table, parse_segmented_corpus
-from .report import MODEL_ORDER, compare, write_artifacts
+from .report import MODEL_ORDER, _artifacts, _write_files, compare, write_artifacts
 from .table import Domain
 
 __all__ = ["main"]
@@ -113,14 +113,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_table(args):
-    # newline="" keeps a lone "\r" inside its line, as the parsers do;
-    # they read the stream block by block.  utf-8-sig drops a leading
-    # byte-order mark and decodes every other byte as utf-8 does.
-    with open(args.input, encoding="utf-8-sig", newline="") as stream:
-        if args.kind == "corpus":
-            table = parse_segmented_corpus(stream, args.format)
-        else:
-            table = parse_frequency_table(stream)
+    # The parsers open the path and read the file block by block.
+    path = Path(args.input)
+    if args.kind == "corpus":
+        table = parse_segmented_corpus(path, args.format)
+    else:
+        table = parse_frequency_table(path)
     # The comparison pipeline lives in segment space; boundary-domain
     # inputs are converted up front (the --boundaries flag then controls
     # the fitting space of the copula, not the input representation).
@@ -273,32 +271,28 @@ def _cmd_sample(args, table) -> int:
     if "svg" in args.emit:
         comparison = compare(table, [args.copula], args.estimator, args.seed)
     model = _copula(args, table, comparison)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     header = (
         f"# model={args.copula} estimator={model.estimator.value} "
         f"rho={model.rho!r} n={args.n} seed={args.seed}\nx,z\n"
     )
     parts = []
-    # Written under a temporary name and moved into place whole, so an
-    # error leaves no samples.csv and an earlier one as it was.
-    partial = out_dir / f".samples.csv.{os.getpid()}.tmp"
-    try:
-        with open(partial, "wb") as out, \
-                closing(_draws(model, args.n, args.seed, rows=True)) as chunks:
-            out.write(header.encode("utf-8"))
-            for pairs, text in chunks:
-                out.write(text)
-                if comparison is not None:
-                    parts.append(pairs)
-        os.replace(partial, out_dir / "samples.csv")
-    except BaseException:
-        with suppress(OSError):
-            partial.unlink()
-        raise
-    if comparison is not None:
-        write_artifacts(out_dir, comparison, {"svg"}, args.n, np.concatenate(parts))
-    print(f"wrote {out_dir / 'samples.csv'} ({args.n} pairs, seed {args.seed})")
+
+    def rows(draws):
+        yield header.encode("utf-8")
+        for pairs, text in draws:
+            if comparison is not None:
+                parts.append(pairs)
+            yield text
+
+    def files(draws):
+        # samples.csv streams chunk by chunk; the scatter waits for its last.
+        yield "samples.csv", rows(draws)
+        if comparison is not None:
+            yield from _artifacts(comparison, {"svg"}, args.n, np.concatenate(parts))
+
+    with closing(_draws(model, args.n, args.seed, rows=True)) as draws:
+        _write_files(args.out, files(draws))
+    print(f"wrote {Path(args.out) / 'samples.csv'} ({args.n} pairs, seed {args.seed})")
     return 0
 
 

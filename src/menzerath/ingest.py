@@ -9,8 +9,10 @@ are summed into the table as the parse goes, so a parse holds one block
 of the input at a time besides the table it builds.
 """
 
+import codecs
 import functools
 import io
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -99,6 +101,47 @@ class CorpusFormat:
             raise ValueError("delimiters must be distinct from each other and from '#'")
 
 
+def _undecodable(stream, exc: UnicodeDecodeError) -> Exception:
+    """The :class:`ParseError` of the first byte ``stream`` cannot decode, else ``exc``.
+
+    ``exc`` holds a position in the decoder's buffer, so the bytes are
+    read again from the start of their file, counting ``\n`` bytes.
+    """
+    raw = getattr(stream, "buffer", None)
+    try:
+        raw.seek(0)
+    except (AttributeError, OSError, ValueError):
+        return exc
+    decoder = codecs.getincrementaldecoder(stream.encoding)(stream.errors)
+    number, start, offset, err = 1, 0, 0, None  # the line, its first byte, bytes read
+    while err is None:
+        data = raw.read(_BLOCK)
+        try:
+            decoder.decode(data, final=not data)
+        except UnicodeDecodeError as caught:
+            # caught.object ends with data; its bad byte may end the block before.
+            err, data = caught, data[: max(0, len(data) - len(caught.object) + caught.start)]
+        else:
+            if not data:
+                return exc
+        number += data.count(b"\n")
+        start = offset + data.rfind(b"\n") + 1 if b"\n" in data else start
+        offset += len(data)
+    raw.seek(start)
+    line = raw.readline().decode(stream.encoding, "backslashreplace").removesuffix("\n")
+    reason = f"cannot decode {err.object[err.start:err.end]!r} as {err.encoding} ({err.reason})"
+    return ParseError(number, line.removesuffix("\r"), reason)
+
+
+def _reads(stream):
+    """``stream.read(_BLOCK)`` to the end; an undecodable byte names its line."""
+    try:
+        while chunk := stream.read(_BLOCK):
+            yield chunk
+    except UnicodeDecodeError as exc:
+        raise _undecodable(stream, exc) from None
+
+
 def _blocks(stream):
     """Text blocks of about ``_BLOCK`` characters, each whole lines.
 
@@ -110,12 +153,18 @@ def _blocks(stream):
     iterable an item at a time, each item one line; a block is cut after
     the last ``\n`` once it holds ``_BLOCK`` characters.  An item is text
     like any other, so a ``\n`` inside it ends a line as it does in a
-    string.
+    string.  A path (``os.PathLike``) is opened and read as a stream,
+    as UTF-8 less one byte-order mark at its start.
     """
+    if isinstance(stream, os.PathLike):
+        # newline="" leaves every line end to the split below.
+        with open(stream, encoding="utf-8-sig", newline="") as file:
+            yield from _blocks(file)
+        return
     if isinstance(stream, str):
         chunks = (stream[i : i + _BLOCK] for i in range(0, len(stream), _BLOCK))
     elif isinstance(stream, io.TextIOBase):
-        chunks = iter(lambda: stream.read(_BLOCK), "")
+        chunks = _reads(stream)
     else:
         chunks = (item if item.endswith("\n") else item + "\n" for item in stream)
     pieces, size = [], 0
@@ -182,15 +231,16 @@ def _scan_rows(first: int, lines, cells: _Cells) -> None:
 def parse_frequency_table(stream) -> JointFrequencyTable:
     """Parse ``x, z, count`` rows (comma or tab separated) into a table.
 
-    Accepts a string, a text stream or an iterable of lines; lines end
-    at ``\n``, and a ``\n`` inside an item ends a line as it does in a
-    string.  An optional header row ``x,z,count`` is skipped, ``#``
+    Accepts a string, a text stream, a path or an iterable of lines;
+    lines end at ``\n``, and a ``\n`` inside an item ends a line as it
+    does in a string.  An optional header row ``x,z,count`` is skipped, ``#``
     lines are comments, and a ``#domain=boundaries`` directive before
     the data switches the domain (segments is the default).  Rows with
     equal (x, z) are aggregated.  Raises :class:`ParseError` with the
     1-based line number on malformed rows, :class:`InvalidPair` on
     domain violations, and :class:`EmptyInput` when no data rows are
-    present.
+    present.  An undecodable byte raises :class:`ParseError` with its
+    line number too.
     """
     cells = _Cells(Domain.SEGMENTS, "no data rows in input")
     first = 1
@@ -364,7 +414,7 @@ def parse_segmented_corpus(
     Blank lines and ``#`` comments are skipped.  Adjacent, leading or
     trailing delimiters make an empty unit and raise
     :class:`EmptyConstituent` with the line number.  Accepts a string,
-    a text stream or an iterable of lines, read block by block; lines
+    a text stream, a path or an iterable of lines, read block by block; lines
     end at ``\n``, and a ``\n`` inside an item ends a line as it does in
     a string, so ``\n`` is no valid delimiter (see :class:`CorpusFormat`).
     """

@@ -4,7 +4,7 @@
 predicted Menzerath curve against the empirical one.  Its result is all
 an artifact needs: :func:`write_report`, :func:`curves_csv`,
 :func:`cells_csv` and :func:`~menzerath.svgfig.render_svg` each build
-one file's text, and :func:`write_artifacts` writes the files.
+one file's text, and :func:`write_artifacts` writes the files, all or none.
 Everything emitted here is canonical and reproducible byte for byte:
 JSON uses sorted keys, shortest round-trip float formatting (Python's
 ``repr``) and a trailing newline; model blocks appear in a fixed order
@@ -12,6 +12,8 @@ inside an array so the canonical ordering survives key sorting.
 """
 
 import json
+import os
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -255,6 +257,42 @@ def cells_csv(table: JointFrequencyTable, model_cells: dict) -> str:
     return "\n".join([header, *rows]) + "\n"
 
 
+def _write_files(out_dir, files) -> None:
+    """Write ``files``, ``(name, byte chunks)`` in order, into ``out_dir``: all or none.
+
+    Each is written to ``.<name>.<pid>.tmp`` and released before the next
+    is built; once the last is whole, all are moved into place.  On any
+    exception the temporary files are removed, so no new file is left.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    moves = []
+    try:
+        for name, chunks in files:
+            moves.append((out_dir / f".{name}.{os.getpid()}.tmp", out_dir / name))
+            with open(moves[-1][0], "wb") as out:
+                out.writelines(chunks)
+            del chunks
+        for partial, final in moves:
+            os.replace(partial, final)
+    except BaseException:
+        for partial, _ in moves:
+            with suppress(OSError):
+                partial.unlink()
+        raise
+
+
+def _artifacts(comparison: Comparison, emit, n: int, samples):
+    """``(name, byte chunks)`` of the ``emit`` kinds, each file built when it is asked for."""
+    if "json" in emit:
+        yield "report.json", [write_report(comparison, n).encode("utf-8")]
+    if "csv" in emit:
+        yield "curves.csv", [curves_csv(comparison.curve, comparison.curves).encode("utf-8")]
+        yield "cells.csv", [cells_csv(comparison.table, comparison.cells).encode("utf-8")]
+    if "svg" in emit:
+        yield "figure.svg", [render_svg(comparison, samples).encode("utf-8")]
+
+
 def write_artifacts(out_dir, comparison: Comparison, emit, n: int, samples=None) -> None:
     """Write the ``emit`` kinds of artifact of ``comparison`` to ``out_dir``.
 
@@ -262,18 +300,6 @@ def write_artifacts(out_dir, comparison: Comparison, emit, n: int, samples=None)
     the comparison's seed), ``csv`` writes ``curves.csv`` and
     ``cells.csv``, ``svg`` writes ``figure.svg`` with ``samples``, an
     optional array of sampled (x, z) rows, scattered over the joint
-    table.  The directory is created when missing.
+    table.  The directory is created when missing; the files land all or none.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    def write(name, text):
-        (out_dir / name).write_bytes(text.encode("utf-8"))
-
-    if "json" in emit:
-        write("report.json", write_report(comparison, n))
-    if "csv" in emit:
-        write("curves.csv", curves_csv(comparison.curve, comparison.curves))
-        write("cells.csv", cells_csv(comparison.table, comparison.cells))
-    if "svg" in emit:
-        write("figure.svg", render_svg(comparison, samples))
+    _write_files(out_dir, _artifacts(comparison, emit, n, samples))

@@ -407,7 +407,7 @@ class TestFit:
 
 
 class TestStreamedInput:
-    """The CLI hands its open input to the parsers, which read blocks."""
+    """The CLI hands its input path to the parsers, which open it and read blocks."""
 
     @pytest.mark.parametrize("kind, text", [
         ("table", "# t\r\n" + TABLE.replace("\n", "\r\n")),
@@ -435,7 +435,7 @@ class TestStreamedInput:
         def guarded_open(file, **kwargs):
             return Guarded(open(file, "rb"), **kwargs)
 
-        monkeypatch.setattr(cli, "open", guarded_open, raising=False)
+        monkeypatch.setattr(ingest, "open", guarded_open, raising=False)
         monkeypatch.setattr(ingest, "_BLOCK", 16)
         out = tmp_path / "blocks"
         assert cli.main([*argv, "--out", str(out)]) == 0
@@ -443,6 +443,33 @@ class TestStreamedInput:
         assert (out / "report.json").read_bytes() == \
             (tmp_path / "whole" / "report.json").read_bytes()
         assert len(sizes) > 1 and set(sizes) == {16}
+
+    # (input bytes, the line of its bad byte, the bytes named, the reason,
+    # the line's text), each with ingest._BLOCK at 16: the rows are 6
+    # bytes long, so the second case's sequence crosses a block edge.
+    @pytest.mark.parametrize("bad, number, named, reason, text", [
+        (b"ab\xffc\n", 41, b"\xff", "invalid start byte", "ab\\xffc"),
+        (b"abc\xe2\x82A\n", 3, b"\xe2\x82", "invalid continuation byte",
+         "abc\\xe2\\x82A"),
+        (b"\xef\xbb\xbfab\xff\n", 1, b"\xff", "invalid start byte", "ab\\xff"),
+    ], ids=["past-first-block", "inside-a-sequence", "line-1-after-bom"])
+    @pytest.mark.parametrize("kind, row", [("table", b"1,2,3\n"), ("corpus", b"ab-cd\n")],
+                             ids=["table", "corpus"])
+    def test_undecodable_byte_names_its_line(
+        self, kind, row, bad, number, named, reason, text, tmp_path, monkeypatch, capsys
+    ):
+        from menzerath import cli, ingest
+
+        monkeypatch.setattr(ingest, "_BLOCK", 16)
+        path = tmp_path / "input.txt"
+        path.write_bytes(row * (number - 1) + bad + row * 50)
+        argv = ["fit", "--input", str(path), "--kind", kind, "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", (
+            f"error: line {number}: cannot decode {named!r} as utf-8 ({reason}): "
+            f"{text!r}\n"
+        ))
+        assert not (tmp_path / "o").exists()
 
 
 class TestSample:
@@ -731,6 +758,107 @@ class TestDrawPool:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == "fit error: second\n"
         assert set(threading.enumerate()) == threads
+
+
+class TestOneWriter:
+    """Every file of a command lands whole, or none does."""
+
+    def _earlier(self, argv, out):
+        from menzerath import cli
+
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def _unchanged(self, out, files):
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == files
+
+    def test_failed_builder_leaves_every_fit_file_as_it_was(
+        self, table_file, tmp_path, monkeypatch, capsys
+    ):
+        from menzerath import MenzerathError, cli, report
+
+        argv = ["fit", "--input", str(table_file), "--emit", "json,csv,svg", "--seed", "1"]
+        earlier = self._earlier([*argv, "--n", "50"], tmp_path / "earlier")
+        assert sorted(earlier) == ["cells.csv", "curves.csv", "figure.svg", "report.json"]
+
+        def failing(*args):
+            raise MenzerathError("cells.csv failed")
+
+        monkeypatch.setattr(report, "cells_csv", failing)
+        capsys.readouterr()
+        for out in (tmp_path / "earlier", tmp_path / "fresh"):
+            assert cli.main([*argv, "--out", str(out)]) == 2
+            assert capsys.readouterr() == ("", "fit error: cells.csv failed\n")
+        self._unchanged(tmp_path / "earlier", earlier)
+        assert list((tmp_path / "fresh").iterdir()) == []
+
+    def test_failed_figure_leaves_no_samples_csv(
+        self, table_file, tmp_path, monkeypatch, capsys
+    ):
+        from menzerath import MenzerathError, cli, report
+
+        argv = ["sample", "--input", str(table_file), "--emit", "csv,svg", "--n", "40"]
+        earlier = self._earlier(argv, tmp_path / "earlier")
+        assert sorted(earlier) == ["figure.svg", "samples.csv"]
+
+        def failing(*args):
+            raise MenzerathError("figure.svg failed")
+
+        monkeypatch.setattr(report, "render_svg", failing)
+        capsys.readouterr()
+        for out in (tmp_path / "earlier", tmp_path / "fresh"):
+            assert cli.main([*argv, "--seed", "1", "--out", str(out)]) == 2
+            assert capsys.readouterr() == ("", "fit error: figure.svg failed\n")
+        self._unchanged(tmp_path / "earlier", earlier)
+        assert list((tmp_path / "fresh").iterdir()) == []
+
+    def test_write_error_leaves_no_file_and_ends_the_pool(
+        self, table_file, tmp_path, monkeypatch, capsys
+    ):
+        import errno
+        import threading
+
+        from menzerath import _text, cli, report
+
+        # Chunks of 16 rows on three threads.
+        monkeypatch.setattr(_text, "_BLOCK", 2)
+        monkeypatch.setattr(cli, "_workers", lambda: 3)
+        argv = ["sample", "--input", str(table_file), "--n", "100"]
+        earlier = self._earlier(argv, tmp_path / "earlier")
+        writes = []
+
+        class Full(io.BufferedWriter):
+            def write(self, data):
+                # The header is the first write, the third chunk the fourth.
+                writes.append(len(data))
+                if len(writes) % 4 == 0:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(data)
+
+        monkeypatch.setattr(report, "open", lambda file, mode: Full(io.FileIO(file, "w")),
+                            raising=False)
+        threads = set(threading.enumerate())
+        capsys.readouterr()
+        for out in (tmp_path / "earlier", tmp_path / "fresh"):
+            assert cli.main([*argv, "--seed", "1", "--out", str(out)]) == 1
+            assert capsys.readouterr() == ("", "error: [Errno 28] No space left on device\n")
+            assert set(threading.enumerate()) == threads
+        assert len(writes) == 8
+        self._unchanged(tmp_path / "earlier", earlier)
+        assert list((tmp_path / "fresh").iterdir()) == []
+
+    def test_interrupt_removes_every_temporary_file(self, tmp_path):
+        from menzerath import report
+
+        (tmp_path / "a.txt").write_bytes(b"earlier")
+
+        def interrupted():
+            yield b"half"
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            report._write_files(tmp_path, [("a.txt", [b"new"]), ("b.txt", interrupted())])
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {"a.txt": b"earlier"}
 
 
 class TestDeterminism:
